@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Callable
 
-from . import catalog, mesh, perms
+from . import catalog, dist, mesh, perms
 from .catalog import PatternPair
 from .mesh import MeshPattern
 from .perms import Perm
@@ -301,11 +301,7 @@ def _verify_wilf(
         earlier = first_preimage.setdefault(sigma, pi)
         if collision is None and earlier != pi:
             collision = [perms.format_perm(p) for p in (earlier, pi, sigma)]
-    q2_avoiders = sum(
-        1
-        for pi in perms.enumerate_sn(n)
-        if next(mesh.occurrences(pi, q2), None) is None
-    )
+    q2_avoiders = dist.avoider_count(n, q2)
     stats = {
         "domain_size": domain_size,
         "image_size": len(first_preimage),

@@ -299,11 +299,12 @@ def _crosscheck_lines(n_max: int, workers: int) -> tuple[list[tuple[str, bool]],
     for n in range(2, ncls + 1):
         split = dist.split_distribution(n, a25.q1, a25.q2, cf.position_of_max_class)
         rec = cf.a25_split_tables(n)
+        empty = dist.JointTable.from_dict(n, {})
         ok = (
             ok
-            and rec.part1 == split.get("first", rec.part1)
-            and rec.part2 == split.get("last", rec.part2)
-            and rec.part3 == split.get("interior", rec.part3)
+            and rec.part1 == split.get("first", empty)
+            and rec.part2 == split.get("last", empty)
+            and rec.part3 == split.get("interior", empty)
         )
     checks.append((f"A25 split parts == position-of-max classes (n<={ncls})", ok))
 

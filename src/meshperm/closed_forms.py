@@ -3,10 +3,10 @@ Closed forms and recurrences for the catalog's anchor pairs.
 
 Everything here is built from exact integer recurrences, independently of
 the brute-force enumeration engine, so the two sides can cross-check each
-other.  The single deliberate exception is the length-3 seed of the
-A25 split (:func:`a25_split_tables`), which is read off the 6 permutations
-of S_3 by direct counting, because the published initial conditions do not
-pin down the full three-way split.
+other.  The A25 split (:func:`a25_split_tables`) starts from the literal
+three-way split of S_2 and S_3, written out by hand because the published
+initial conditions do not pin it down; a test re-derives it from the 2 + 6
+permutations with the reference scan.
 
 Anchor pairs and what is computed for them:
 
@@ -27,7 +27,7 @@ import functools
 from dataclasses import dataclass
 from math import comb, factorial
 
-from . import catalog, dist, mesh
+from . import dist, mesh
 from .dist import BivarPoly, JointTable
 
 # Length-2 auxiliary patterns whose occurrence distribution over S_n is the
@@ -214,24 +214,19 @@ def position_of_max_class(pi) -> str:
     return "interior"
 
 
-@functools.lru_cache(maxsize=None)
-def _a25_seed(n: int) -> tuple[tuple[tuple[tuple[int, int], int], ...], ...]:
-    """Exact split of S_n for pair A25 by position of the largest entry,
-    read off the permutations directly (used only for n <= 3)."""
-    pair = catalog.get_pair("A25")
-    split = dist.split_distribution(n, pair.q1, pair.q2, position_of_max_class)
-    out = []
-    for key in ("first", "last", "interior"):
-        table = split.get(key)
-        out.append(tuple(((k, l), c) for k, l, c in (table.cells() if table else ())))
-    return tuple(out)
+# Exact split of S_2 and S_3 for pair A25 by position of the largest entry,
+# as (first, last, interior) parts: the recurrence's initial conditions.
+_A25_SEED = {
+    2: ({(0, 0): 1}, {(0, 0): 1}, {}),
+    3: ({(0, 0): 1, (0, 1): 1}, {(0, 0): 1, (1, 0): 1}, {(0, 0): 2}),
+}
 
 
 def a25_split_tables(n: int) -> SplitTables:
     """Joint tables of pair A25 split by the position of the largest entry.
 
     part1: largest entry first; part2: largest entry last; part3: interior.
-    Iterates, from the length-3 split counted directly,
+    Iterates, from the split of S_3,
 
         part1(n,k,l) = part1(n-1,k,l-1) + part2(n-1,k,l) + part3(n-1,k,l-1)
         part2(n,k,l) = part1(n-1,k,l) + part2(n-1,k-1,l) + part3(n-1,k-1,l)
@@ -240,10 +235,7 @@ def a25_split_tables(n: int) -> SplitTables:
     if n < 2:
         raise ValueError("defined for n >= 2")
     seed_n = min(n, 3)
-    seed = _a25_seed(seed_n)
-    t1: Entry = dict(seed[0])
-    t2: Entry = dict(seed[1])
-    t3: Entry = dict(seed[2])
+    t1, t2, t3 = _A25_SEED[seed_n]
     for m in range(seed_n + 1, n + 1):
         keys = {(k, l) for k in range(m - 1) for l in range(m - 1)}
         new1: Entry = {}

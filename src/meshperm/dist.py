@@ -7,24 +7,26 @@ a first pattern and l occurrences of a second.  Every table over S_n sums
 to n!.  Tables convert to bivariate polynomials (:class:`BivarPoly`) whose
 coefficient of x^k y^l is the (k, l) entry.
 
-Enumeration can be partitioned by the first entry of the permutation and
-the partial tables combined with :func:`merge`, which is a commutative
-monoid, so results are deterministic regardless of schedule.
+Every table comes from one sweep over S_n (:func:`_sweep`), which counts
+the occurrences of many patterns in each permutation with the box masks of
+:func:`meshperm.mesh.box_masks`.  The sweep can be partitioned by the first
+entry of the permutation and the partial tables combined with
+:func:`merge`, which is a commutative monoid, so results are deterministic
+regardless of schedule.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from . import mesh, perms
-from .mesh import DominanceTable, MeshPattern
+from .mesh import MeshPattern
 from .perms import Perm
 
 Pair = tuple[MeshPattern, MeshPattern]
@@ -167,74 +169,25 @@ def to_polynomial(t: JointTable) -> BivarPoly:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force enumeration engines
+# Brute-force enumeration: one sweep over S_n
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple(itertools.combinations(range(1, n + 1), 3))
+def _sweep(
+    patterns: Sequence[MeshPattern], pis: Iterable[Perm]
+) -> Iterator[tuple[Perm, list[int]]]:
+    """Yield ``(pi, counts)`` for each permutation, where ``counts[i]`` is
+    the number of occurrences of ``patterns[i]`` in ``pi``.
 
-
-def _fast_pair_eligible(pairs: Sequence[Pair]) -> bool:
-    taus = {(1, 2, 3), (3, 2, 1)}
-    return all(
-        q1.tau in taus and q2.tau in taus and q1.length == q2.length == 3
-        for q1, q2 in pairs
-    )
-
-
-def _shading_mask(pat: MeshPattern) -> int:
-    mask = 0
-    for i, j in pat.shading:
-        mask |= 1 << (4 * i + j)
-    return mask
-
-
-def _triple_masks(pi: Perm) -> tuple[list[int], list[int]]:
-    """Empty-box bitmasks for each increasing / decreasing triple of pi.
-
-    Bit 4*i+j is set when box (i, j) of the triple's 4x4 grid is empty, so a
-    length-3 pattern with shading mask S occurs at the triple exactly when
-    S & ~mask == 0.
+    The box masks of each distinct classical pattern are built once per
+    permutation and shared by every shading on it.
     """
-    n = len(pi)
-    pre = DominanceTable(pi)._prefix
-    incr: list[int] = []
-    decr: list[int] = []
-    top = n + 1
-    for a, b, c in _triples(n):
-        va, vb, vc = pi[a - 1], pi[b - 1], pi[c - 1]
-        if va < vb < vc:
-            bucket = incr
-            vgrid = (0, va, vb, vc, top)
-        elif va > vb > vc:
-            bucket = decr
-            vgrid = (0, vc, vb, va, top)
-        else:
-            continue
-        pgrid = (0, a, b, c, top)
-        mask = 0
-        bit = 1
-        for i in range(4):
-            p_lo, p_hi = pgrid[i], pgrid[i + 1]
-            if p_hi - p_lo < 2:
-                mask |= 15 << (4 * i)
-                bit <<= 4
-                continue
-            row_hi = pre[p_hi - 1]
-            row_lo = pre[p_lo]
-            for j in range(4):
-                v_lo, v_hi = vgrid[j], vgrid[j + 1]
-                if (
-                    v_hi - v_lo < 2
-                    or row_hi[v_hi - 1] - row_lo[v_hi - 1] - row_hi[v_lo] + row_lo[v_lo]
-                    == 0
-                ):
-                    mask |= bit
-                bit <<= 1
-        bucket.append(mask)
-    return incr, decr
+    taus = list(dict.fromkeys(q.tau for q in patterns))
+    slots = [(taus.index(q.tau), mesh.shading_mask(q)) for q in patterns]
+    for pi in pis:
+        # ~mask: the boxes of an occurrence that hold some entry.
+        filled = [[~mask for _, mask in mesh.box_masks(pi, tau)] for tau in taus]
+        yield pi, [sum(1 for f in filled[t] if not shaded & f) for t, shaded in slots]
 
 
 def _perms_with_first(n: int, firsts: Sequence[int]) -> Iterable[Perm]:
@@ -244,38 +197,20 @@ def _perms_with_first(n: int, firsts: Sequence[int]) -> Iterable[Perm]:
             yield (first, *tail)
 
 
-def _tally_fast(n: int, pairs: Sequence[Pair], firsts: Sequence[int]) -> list[dict]:
-    masks = [(_shading_mask(q1), _shading_mask(q2)) for q1, q2 in pairs]
+def _tally(pairs: Sequence[Pair], pis: Iterable[Perm]) -> list[dict]:
     tallies: list[dict[tuple[int, int], int]] = [{} for _ in pairs]
-    for pi in _perms_with_first(n, firsts):
-        incr, decr = _triple_masks(pi)
-        for idx, (m1, m2) in enumerate(masks):
-            k = sum(1 for mask in incr if m1 & ~mask == 0)
-            l = sum(1 for mask in decr if m2 & ~mask == 0)
-            tally = tallies[idx]
-            tally[(k, l)] = tally.get((k, l), 0) + 1
-    return tallies
-
-
-def _tally_generic(n: int, pairs: Sequence[Pair], firsts: Sequence[int]) -> list[dict]:
-    tallies: list[dict[tuple[int, int], int]] = [{} for _ in pairs]
-    for pi in _perms_with_first(n, firsts):
-        table = DominanceTable(pi)
-        for idx, (q1, q2) in enumerate(pairs):
-            kl = mesh.joint_counts(pi, q1, q2, table)
-            tally = tallies[idx]
+    for _, counts in _sweep([q for pair in pairs for q in pair], pis):
+        for tally, kl in zip(tallies, zip(counts[::2], counts[1::2])):
             tally[kl] = tally.get(kl, 0) + 1
     return tallies
 
 
 def _tally_worker(args) -> list[dict]:
-    n, pair_texts, firsts, fast = args
+    n, pair_texts, firsts = args
     pairs = [
         (mesh.parse_pattern(t1), mesh.parse_pattern(t2)) for t1, t2 in pair_texts
     ]
-    if fast:
-        return _tally_fast(n, pairs, firsts)
-    return _tally_generic(n, pairs, firsts)
+    return _tally(pairs, _perms_with_first(n, firsts))
 
 
 def joint_tables(
@@ -289,15 +224,12 @@ def joint_tables(
     perms.check_capacity(n)
     if n == 0:
         return [JointTable.from_dict(0, {(0, 0): 1}) for _ in pairs]
-    fast = _fast_pair_eligible(pairs)
-    tally = _tally_fast if fast else _tally_generic
     if workers <= 1 or n < 2:
-        results = tally(n, pairs, range(1, n + 1))
-        return [JointTable.from_dict(n, t) for t in results]
+        return [JointTable.from_dict(n, t) for t in _tally(pairs, perms.enumerate_sn(n))]
     pair_texts = [
         (mesh.format_pattern(q1), mesh.format_pattern(q2)) for q1, q2 in pairs
     ]
-    jobs = [(n, pair_texts, [first], fast) for first in range(1, n + 1)]
+    jobs = [(n, pair_texts, [first]) for first in range(1, n + 1)]
     with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
         parts = list(pool.map(_tally_worker, jobs))
     tables = [JointTable.from_dict(n, t) for t in parts[0]]
@@ -335,11 +267,9 @@ def split_distribution(
     """
     perms.check_capacity(n)
     tallies: dict[Hashable, dict[tuple[int, int], int]] = {}
-    for pi in perms.enumerate_sn(n):
-        table = DominanceTable(pi)
-        kl = mesh.joint_counts(pi, q1, q2, table)
+    for pi, (k, l) in _sweep((q1, q2), perms.enumerate_sn(n)):
         bucket = tallies.setdefault(classify(pi), {})
-        bucket[kl] = bucket.get(kl, 0) + 1
+        bucket[(k, l)] = bucket.get((k, l), 0) + 1
     return {key: JointTable.from_dict(n, t) for key, t in sorted(tallies.items(), key=lambda kv: str(kv[0]))}
 
 
@@ -351,11 +281,7 @@ def avoider_count(n: int, q: MeshPattern) -> int:
     2
     """
     perms.check_capacity(n)
-    count = 0
-    for pi in perms.enumerate_sn(n):
-        if next(mesh.occurrences(pi, q), None) is None:
-            count += 1
-    return count
+    return sum(1 for _, (k,) in _sweep((q,), perms.enumerate_sn(n)) if k == 0)
 
 
 def distribution(n: int, q: MeshPattern) -> list[int]:
@@ -363,8 +289,7 @@ def distribution(n: int, q: MeshPattern) -> list[int]:
     with exactly k occurrences of ``q``."""
     perms.check_capacity(n)
     tally: dict[int, int] = {}
-    for pi in perms.enumerate_sn(n):
-        k = mesh.count_occurrences(pi, q)
+    for _, (k,) in _sweep((q,), perms.enumerate_sn(n)):
         tally[k] = tally.get(k, 0) + 1
     return [tally.get(k, 0) for k in range(max(tally, default=0) + 1)]
 

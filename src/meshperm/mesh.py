@@ -15,6 +15,14 @@ p_{m+1} = q_{m+1} = n+1).  The chosen entries themselves never block a box:
 every open position interval between consecutive chosen positions is free
 of chosen entries by construction.
 
+:func:`is_occurrence` checks one position tuple by a direct scan of each
+shaded box; it is the reference semantics.  The occurrence engine is
+:func:`box_masks`: it lists the occurrences of a classical pattern of any
+length, each with a bitmask of its empty boxes, so one call serves every
+shading on that pattern.  :func:`occurrences`, :func:`count_occurrences`,
+:func:`joint_counts` and the S_n sweep in :mod:`meshperm.dist` all rest on
+it.
+
 Pattern text form (used by the catalog file and the CLI):
 ``<tau>|<i1,j1;i2,j2;...>`` with boxes semicolon-separated, e.g.
 ``123|0,0;1,2;2,1;3,1``; an empty shading is written ``123|``.
@@ -22,7 +30,8 @@ Pattern text form (used by the catalog file and the CLI):
 
 from __future__ import annotations
 
-import itertools
+import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -104,8 +113,8 @@ class DominanceTable:
 
     ``count(p_lo, p_hi, v_lo, v_hi)`` is the number of entries with position
     strictly between p_lo and p_hi and value strictly between v_lo and v_hi.
-    This is the optional fast path; the naive per-box scan in
-    :func:`is_occurrence` is the reference, and the two are tested to agree.
+    It serves only ``is_occurrence(..., table=...)``; the naive per-box scan
+    (``table=None``) is the reference, and the two are tested to agree.
     """
 
     __slots__ = ("n", "_prefix")
@@ -189,25 +198,89 @@ def is_occurrence(
     return True
 
 
-def occurrences(
-    pi: Perm, pat: MeshPattern, table: DominanceTable | None = None
-) -> Iterator[tuple[int, ...]]:
+def shading_mask(pat: MeshPattern) -> int:
+    """Bit (m+1)*i + j is set for each shaded box (i, j) of ``pat``.
+
+    >>> shading_mask(parse_pattern("12|0,0;2,1"))
+    129
+    """
+    side = pat.length + 1
+    return sum(1 << side * i + j for i, j in pat.shading)
+
+
+@functools.lru_cache(maxsize=None)
+def _extension_bounds(tau: Perm) -> tuple[tuple[int, int], ...]:
+    """For each index t of ``tau``, where to find the nearest smaller and the
+    nearest larger of the values chosen for tau[:t].
+
+    Indices point into ``(0, n+1, *chosen values)``: 0 and 1 are the
+    sentinels for "no smaller" and "no larger".
+    """
+    bounds = []
+    for t, v in enumerate(tau):
+        below = [s for s in range(t) if tau[s] < v]
+        above = [s for s in range(t) if tau[s] > v]
+        lo = max(below, key=tau.__getitem__) + 2 if below else 0
+        hi = min(above, key=tau.__getitem__) + 2 if above else 1
+        bounds.append((lo, hi))
+    return tuple(bounds)
+
+
+def box_masks(pi: Perm, tau: Perm) -> list[tuple[tuple[int, ...], int]]:
+    """Every occurrence of the classical pattern ``tau`` in ``pi``, in
+    lexicographic order, as ``(positions, mask)``.
+
+    Bit (m+1)*i + j of the mask is set when box (i, j) of the occurrence is
+    empty, so a mesh pattern on ``tau`` with shading mask S occurs at those
+    positions exactly when ``S & ~mask == 0``.  ``pi`` is not validated;
+    :func:`occurrences` is the checked entry point.
+
+    >>> box_masks((2, 3, 1), (1, 2))
+    [((1, 2), 447)]
+    """
+    n = len(pi)
+    m = len(tau)
+    # Partial matches grow one index of tau at a time; a position extends
+    # one when its value lies between the nearest chosen values below and
+    # above it in tau.  pos carries a leading 0, vals the two sentinels.
+    partial = [((0,), (0, n + 1))]
+    for t, (lo, hi) in enumerate(_extension_bounds(tau)):
+        grown = []
+        for pos, vals in partial:
+            a, b = vals[lo], vals[hi]
+            for p in range(pos[-1] + 1, n - m + t + 2):
+                v = pi[p - 1]
+                if a < v < b:
+                    grown.append((pos + (p,), vals + (v,)))
+        partial = grown
+    side = m + 1
+    full = (1 << side * side) - 1
+    out = []
+    for pos, vals in partial:
+        chosen = sorted(vals[2:])
+        at = set(pos)
+        taken = base = 0
+        # One walk of pi: each chosen position starts the next box column,
+        # every other entry marks its box as taken.
+        for p, v in enumerate(pi, 1):
+            if p in at:
+                base += side
+            else:
+                taken |= 1 << base + bisect_left(chosen, v)
+        out.append((pos[1:], full ^ taken))
+    return out
+
+
+def occurrences(pi: Perm, pat: MeshPattern) -> Iterator[tuple[int, ...]]:
     """Yield the position tuples of all occurrences, in lexicographic order."""
     perms.as_perm(pi)
-    n = len(pi)
-    m = pat.length
-    if m > n:
-        return
-    if table is None:
-        table = DominanceTable(pi)
-    for pos in itertools.combinations(range(1, n + 1), m):
-        if is_occurrence(pi, pos, pat, table):
+    shaded = shading_mask(pat)
+    for pos, mask in box_masks(pi, pat.tau):
+        if shaded & ~mask == 0:
             yield pos
 
 
-def count_occurrences(
-    pi: Perm, pat: MeshPattern, table: DominanceTable | None = None
-) -> int:
+def count_occurrences(pi: Perm, pat: MeshPattern) -> int:
     """Exact number of occurrences of ``pat`` in ``pi``.
 
     >>> p = parse_pattern("123|0,0;1,2;2,1;3,1")
@@ -218,16 +291,12 @@ def count_occurrences(
     >>> count_occurrences(perms.parse_perm("14325"), parse_pattern("123|"))
     3
     """
-    return sum(1 for _ in occurrences(pi, pat, table))
+    return sum(1 for _ in occurrences(pi, pat))
 
 
-def joint_counts(
-    pi: Perm, q1: MeshPattern, q2: MeshPattern, table: DominanceTable | None = None
-) -> tuple[int, int]:
-    """Occurrence counts of both patterns of a pair, sharing one table."""
-    if table is None:
-        table = DominanceTable(pi)
-    return count_occurrences(pi, q1, table), count_occurrences(pi, q2, table)
+def joint_counts(pi: Perm, q1: MeshPattern, q2: MeshPattern) -> tuple[int, int]:
+    """Occurrence counts of both patterns of a pair."""
+    return count_occurrences(pi, q1), count_occurrences(pi, q2)
 
 
 def complement_pattern(pat: MeshPattern) -> MeshPattern:

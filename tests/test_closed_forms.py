@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import pytest
 
-from meshperm import catalog, closed_forms as cf, dist
+from meshperm import catalog, closed_forms as cf, dist, mesh, perms
 
 
 def brute(pid, n):
@@ -113,10 +114,33 @@ def test_a25_split_matches_brute_force_and_classes():
         rec = cf.a25_split_tables(n)
         assert rec.total() == brute("A25", n)
         split = dist.split_distribution(n, p.q1, p.q2, cf.position_of_max_class)
-        assert rec.part1 == split.get("first", rec.part1)
-        assert rec.part2 == split.get("last", rec.part2)
-        if n >= 3:
-            assert rec.part3 == split["interior"]
+        empty = dist.JointTable.from_dict(n, {})
+        assert rec.part1 == split.get("first", empty)
+        assert rec.part2 == split.get("last", empty)
+        assert rec.part3 == split.get("interior", empty)
+
+
+def test_a25_seed_matches_reference_scan():
+    # The recurrence starts from literal splits of S_2 and S_3; re-derive
+    # them with the naive box scan.
+    p = catalog.get_pair("A25")
+    for n in (2, 3):
+        parts = {"first": {}, "last": {}, "interior": {}}
+        for pi in perms.enumerate_sn(n):
+            kl = tuple(
+                sum(
+                    mesh.is_occurrence(pi, pos, q, table=None)
+                    for pos in itertools.combinations(range(1, n + 1), q.length)
+                )
+                for q in (p.q1, p.q2)
+            )
+            part = parts[cf.position_of_max_class(pi)]
+            part[kl] = part.get(kl, 0) + 1
+        rec = cf.a25_split_tables(n)
+        assert (rec.part1, rec.part2, rec.part3) == tuple(
+            dist.JointTable.from_dict(n, parts[key])
+            for key in ("first", "last", "interior")
+        ), n
 
 
 def test_a33_polynomial_values():

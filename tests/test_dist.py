@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -8,6 +10,7 @@ from meshperm.dist import (
     BivarPoly,
     JointTable,
     avoider_count,
+    distribution,
     is_jointly_symmetric,
     joint_distribution,
     joint_tables,
@@ -113,31 +116,69 @@ def test_workers_match_single_threaded():
     assert seq == par
 
 
-def test_fast_and_generic_tallies_agree_on_catalog():
-    from meshperm.dist import _tally_fast, _tally_generic
+def reference_positions(pi, q):
+    """Occurrences of q in pi by the naive box scan, in lexicographic order."""
+    return [
+        pos
+        for pos in itertools.combinations(range(1, len(pi) + 1), q.length)
+        if mesh.is_occurrence(pi, pos, q, table=None)
+    ]
 
-    cat = catalog.builtin_catalog()
-    pairs = [(p.q1, p.q2) for p in cat[::7]]
+
+def random_pattern(rng):
+    """A tau of length 1-4 with any subset of its boxes shaded, empty to full."""
+    m = rng.randint(1, 4)
+    boxes = [(i, j) for i in range(m + 1) for j in range(m + 1)]
+    shading = rng.sample(boxes, rng.randint(0, len(boxes)))
+    return mesh.pattern(rng.sample(range(1, m + 1), m), shading)
+
+
+def assert_sweep_matches_reference(n, pairs):
+    """Every table-producing sweep over S_n against the reference scan."""
+    ref = {
+        pi: [reference_positions(pi, q) for pair in pairs for q in pair]
+        for pi in perms.enumerate_sn(n)
+    }
+    want = []
+    for idx, (q1, q2) in enumerate(pairs):
+        # Split by the permutation itself: one table per pi, so a mismatch
+        # names the permutation, the pattern and its reference positions.
+        got = split_distribution(n, q1, q2, lambda pi: pi)
+        tally = {}
+        for pi, occ in ref.items():
+            kl = len(occ[2 * idx]), len(occ[2 * idx + 1])
+            tally[kl] = tally.get(kl, 0) + 1
+            assert got[pi] == JointTable.from_dict(n, {kl: 1}), (
+                pi, str(q1), occ[2 * idx], str(q2), occ[2 * idx + 1])
+        want.append(JointTable.from_dict(n, tally))
+        assert distribution(n, q1) == marginal(want[-1], "first"), (n, str(q1))
+        assert avoider_count(n, q2) == marginal(want[-1], "second")[0], (n, str(q2))
+    for workers in (1, 2):
+        assert joint_tables(n, pairs, workers=workers) == want, (n, workers)
+
+
+def test_occurrences_match_reference_scan():
+    rng = random.Random(4111)
+    for _ in range(400):
+        q = random_pattern(rng)
+        for n in range(7):
+            pi = tuple(rng.sample(range(1, n + 1), n))
+            want = reference_positions(pi, q)
+            assert list(mesh.occurrences(pi, q)) == want, (pi, str(q), want)
+
+
+def test_sweep_matches_reference_scan_on_random_patterns():
+    rng = random.Random(2025)
+    for n in range(7):
+        assert_sweep_matches_reference(
+            n, [(random_pattern(rng), random_pattern(rng)) for _ in range(8)]
+        )
+
+
+def test_sweep_matches_reference_scan_on_catalog_sample():
+    pairs = [(p.q1, p.q2) for p in catalog.builtin_catalog()[::7]]
     for n in (2, 4, 5):
-        fast = _tally_fast(n, pairs, range(1, n + 1))
-        slow = _tally_generic(n, pairs, range(1, n + 1))
-        assert fast == slow
-
-
-def test_generic_engine_matches_fast_engine():
-    # force the generic path with a length-2 pattern pair
-    q = mesh.parse_pattern("12|0,0;1,0;2,0;2,1")
-    qc = mesh.complement_pattern(q)
-    t = joint_distribution(4, q, qc)
-    assert t.total() == 24
-    # the fast path only handles length-3 123/321 pairs; cross-check one of
-    # those against per-permutation counting
-    p = pair("S3")
-    slow = {}
-    for pi in perms.enumerate_sn(4):
-        kl = mesh.joint_counts(pi, p.q1, p.q2)
-        slow[kl] = slow.get(kl, 0) + 1
-    assert JointTable.from_dict(4, slow) == table("S3", 4)
+        assert_sweep_matches_reference(n, pairs)
 
 
 def test_json_export_is_stable():
