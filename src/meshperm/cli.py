@@ -23,42 +23,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import bijections, catalog, closed_forms as cf, dist, invseq, mesh, perms
+from . import bijections, catalog, checks, dist, mesh, perms
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    """Validated run options shared by the batch commands."""
-
-    n_max: int = 7
-    pairs: list[str] = field(default_factory=lambda: ["all"])
-    format: str = "text"
-    out: str | None = None
-    workers: int = 1
-    strict: bool = False
-
-    def __post_init__(self) -> None:
-        perms.check_capacity(self.n_max)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        n_max=getattr(args, "n", 7),
-        pairs=list(getattr(args, "pairs", ["all"])),
-        format=getattr(args, "format", "text"),
-        out=getattr(args, "out", None),
-        workers=getattr(args, "workers", 1),
-        strict=getattr(args, "strict", False),
-    )
+def _validated(args: argparse.Namespace) -> None:
+    """Check the options shared by the batch commands."""
+    perms.check_capacity(args.n)
+    if getattr(args, "workers", 1) < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
 
 
 def _selected_pairs(tokens: list[str]) -> list[catalog.PatternPair]:
@@ -78,11 +56,13 @@ def _selected_pairs(tokens: list[str]) -> list[catalog.PatternPair]:
     return chosen
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | Path | None) -> None:
+    """Write ``text`` to the file ``out``, or print it; it ends in one newline."""
+    text = text if text.endswith("\n") else text + "\n"
     if out:
-        Path(out).write_text(text + ("\n" if not text.endswith("\n") else ""))
+        Path(out).write_text(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -109,39 +89,27 @@ def _render_table(table: dist.JointTable, pair: catalog.PatternPair, fmt: str) -
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    cfg = config_from_args(args)
+    _validated(args)
     pair = catalog.get_pair(args.pair)
-    table = dist.joint_distribution(cfg.n_max, pair.q1, pair.q2, workers=cfg.workers)
+    table = dist.joint_distribution(args.n, pair.q1, pair.q2, workers=args.workers)
     print(dist.to_polynomial(table).render())
-    if cfg.format in ("json", "csv"):
-        payload = _render_table(table, pair, cfg.format)
-        if cfg.out:
-            _emit(payload, cfg.out)
-        else:
-            print(payload, end="" if payload.endswith("\n") else "\n")
-    elif cfg.out:
-        _emit(_render_table(table, pair, "json"), cfg.out)
+    if args.format != "text" or args.out:
+        _emit(_render_table(table, pair, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    cfg = config_from_args(args)
-    selected = _selected_pairs(cfg.pairs)
+    _validated(args)
+    selected = _selected_pairs(args.pairs)
     tables = dist.joint_tables(
-        cfg.n_max, [(p.q1, p.q2) for p in selected], workers=cfg.workers
+        args.n, [(p.q1, p.q2) for p in selected], workers=args.workers
     )
-    ext = "csv" if cfg.format == "csv" else "json"
-    outdir = Path(cfg.out) if cfg.out else None
+    outdir = Path(args.out) if args.out else None
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)
     for pair, table in zip(selected, tables):
-        payload = _render_table(table, pair, cfg.format)
-        if outdir:
-            (outdir / f"{pair.id}_n{cfg.n_max}.{ext}").write_text(
-                payload + ("" if payload.endswith("\n") else "\n")
-            )
-        else:
-            print(payload, end="" if payload.endswith("\n") else "\n")
+        path = outdir / f"{pair.id}_n{args.n}.{args.format}" if outdir else None
+        _emit(_render_table(table, pair, args.format), path)
     if outdir:
         print(f"wrote {len(selected)} table(s) to {outdir}")
     return EXIT_OK
@@ -155,73 +123,58 @@ NEVER_BOTH_IDS = {f"S{i}" for i in range(9, 19)}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = config_from_args(args)
-    selected = _selected_pairs(cfg.pairs)
-    n_max = cfg.n_max
+    _validated(args)
+    selected = _selected_pairs(args.pairs)
+    n_max = args.n
     ids = [p.id for p in selected]
-    tables: dict[int, list[dist.JointTable]] = {}
-    for n in range(2, n_max + 1):
-        tables[n] = dist.joint_tables(
-            n, [(p.q1, p.q2) for p in selected], workers=cfg.workers
-        )
+    pairs = [(p.q1, p.q2) for p in selected]
+    tables = {
+        n: dist.joint_tables(n, pairs, workers=args.workers) for n in range(2, n_max + 1)
+    }
 
     reports = []
     failed = False
     for idx, pair in enumerate(selected):
-        conjectured = pair.status == "conjectured"
-        sym_by_n = {}
-        never_both = True
-        for n in range(2, n_max + 1):
-            t = tables[n][idx]
-            sym_by_n[n] = dist.is_jointly_symmetric(t)
-            if pair.id in NEVER_BOTH_IDS:
-                never_both = never_both and all(
-                    k == 0 or l == 0 for k, l, _ in t.cells()
-                )
-        sym_ok = all(sym_by_n.values())
-        checks = {"joint_symmetric": sym_ok}
+        row = [tables[n][idx] for n in range(2, n_max + 1)]
+        sym_ok = all(dist.is_jointly_symmetric(t) for t in row)
+        verdicts = {"joint_symmetric": sym_ok}
         if pair.id in NEVER_BOTH_IDS:
-            checks["never_both"] = never_both
-        ok = all(checks.values())
+            verdicts["never_both"] = all(
+                k == 0 or l == 0 for t in row for k, l, _ in t.cells()
+            )
+        ok = all(verdicts.values())
         report = {
             "pair": pair.id,
             "frame": pair.frame,
             "status": pair.status,
             "n_max": n_max,
-            "checks": checks,
+            "checks": verdicts,
             "pass": ok,
         }
+        conjectured = pair.status == "conjectured"
         if conjectured:
             report["conjecture"] = (
                 f"holds at n<={n_max}" if sym_ok else f"FAILS at n<={n_max}"
             )
-            if not ok and cfg.strict:
-                failed = True
-        elif not ok:
+        if not ok and (args.strict or not conjectured):
             failed = True
         reports.append(report)
 
-    frame_reports = []
     by_frame: dict[str, list[int]] = {}
     for idx, pair in enumerate(selected):
         by_frame.setdefault(pair.frame, []).append(idx)
+    frame_reports = []
     for frame, members in sorted(by_frame.items()):
-        if len(members) < 2:
-            continue
-        equal = all(
-            tables[n][i] == tables[n][members[0]]
-            for n in range(2, n_max + 1)
-            for i in members[1:]
-        )
-        frame_reports.append(
-            {"frame": frame, "pairs": [ids[i] for i in members], "equal": equal}
-        )
-        if not equal:
-            failed = True
+        if len(members) > 1:
+            equal = all(tables[n][i] == tables[n][members[0]] for n in tables for i in members[1:])
+            frame_reports.append(
+                {"frame": frame, "pairs": [ids[i] for i in members], "equal": equal}
+            )
+            failed = failed or not equal
 
     payload = {"n_max": n_max, "pairs": reports, "frames": frame_reports}
-    if cfg.format == "json":
-        _emit(json.dumps(payload, sort_keys=True), cfg.out)
+    if args.format == "json":
+        _emit(json.dumps(payload, sort_keys=True), args.out)
     else:
         lines = []
         for rep in reports:
@@ -232,7 +185,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             verdict = "ok" if rep["equal"] else "FAIL"
             lines.append(f"frame {rep['frame']}: identical tables {verdict}")
         lines.append(f"verify: {'FAIL' if failed else 'ok'} ({len(reports)} pair reports)")
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     return EXIT_FAIL if failed else EXIT_OK
 
 
@@ -241,129 +194,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _crosscheck_lines(n_max: int, workers: int) -> tuple[list[tuple[str, bool]], bool]:
-    cat = catalog.by_id()
-    anchor_ids = ["S19", "A17", "A25", "A33"] + [f"A{i}" for i in range(26, 37) if i != 33]
-    anchor_pairs = [(cat[a].q1, cat[a].q2) for a in anchor_ids]
-    tables: dict[int, dict[str, dist.JointTable]] = {}
-    for n in range(2, n_max + 1):
-        row = dist.joint_tables(n, anchor_pairs, workers=workers)
-        tables[n] = dict(zip(anchor_ids, row))
-
-    checks: list[tuple[str, bool]] = []
-
-    ok = all(cf.s19_table(n) == tables[n]["S19"] for n in range(2, n_max + 1))
-    checks.append((f"S19 split recurrence total == brute force (n<={n_max})", ok))
-
-    ncls = min(n_max, 6)
-    ok = True
-    s19 = cat["S19"]
-    for n in range(2, ncls + 1):
-        split = dist.split_distribution(
-            n, s19.q1, s19.q2, lambda p: "desc" if p[0] > p[1] else "asc"
-        )
-        rec = cf.s19_split_tables(n)
-        ok = ok and rec.part1 == split["desc"] and rec.part2 == split["asc"]
-    checks.append((f"S19 split parts == sign-of-first-step classes (n<={ncls})", ok))
-
-    naux = min(n_max, 8)
-    ok = True
-    for pat in (cf.STIRLING_PAIR_12, cf.STIRLING_PAIR_12_FLIP, cf.STIRLING_PAIR_21):
-        for n in range(1, naux + 1):
-            got = dist.distribution(n, pat)
-            want = [cf.stirling_pair_count(n, k) for k in range(len(got))]
-            ok = ok and got == want
-    checks.append(
-        (f"tilde_T(n,k) == c(n,k+1) for the three length-2 patterns (n<={naux})", ok)
-    )
-
-    ok = all(cf.a17_table(n) == tables[n]["A17"] for n in range(2, n_max + 1))
-    checks.append((f"A17 closed form == brute force (n<={n_max})", ok))
-    ok = all(
-        cf.a17_entry(n, k, l) == cf.a17_entry_by_convolution(n, k, l)
-        for n in range(2, max(n_max, 9) + 1)
-        for k in range(n)
-        for l in range(n)
-    )
-    checks.append((f"A17 closed form == binomial convolution (n<={max(n_max, 9)})", ok))
-    ok = all(
-        tables[n]["A17"].entry(0, 0) == cf.a17_double_avoiders(n)
-        for n in range(2, n_max + 1)
-    )
-    checks.append((f"A17 double avoiders == 2*harmonic_factorial(n-2) (n<={n_max})", ok))
-
-    ok = all(cf.a25_table(n) == tables[n]["A25"] for n in range(2, n_max + 1))
-    checks.append((f"A25 split recurrence total == brute force (n<={n_max})", ok))
-    ok = True
-    a25 = cat["A25"]
-    for n in range(2, ncls + 1):
-        split = dist.split_distribution(n, a25.q1, a25.q2, cf.position_of_max_class)
-        rec = cf.a25_split_tables(n)
-        empty = dist.JointTable.from_dict(n, {})
-        ok = (
-            ok
-            and rec.part1 == split.get("first", empty)
-            and rec.part2 == split.get("last", empty)
-            and rec.part3 == split.get("interior", empty)
-        )
-    checks.append((f"A25 split parts == position-of-max classes (n<={ncls})", ok))
-
-    ok = all(
-        cf.a33_polynomial(n) == dist.to_polynomial(tables[n]["A33"])
-        for n in range(2, n_max + 1)
-    )
-    checks.append((f"A33 polynomial recurrence == brute force (n<={n_max})", ok))
-    nco = max(n_max, 9)
-    ok = all(
-        cf.a33_entry_by_recurrence(n, k, l) == cf.a33_polynomial(n).coefficient(k, l)
-        for n in range(4, nco + 1)
-        for k in range(n)
-        for l in range(n)
-    )
-    checks.append((f"A33 coefficient recurrence == polynomial (4<=n<={nco})", ok))
-
-    ok = True
-    for n in range(2, n_max + 1):
-        want = cf.a25_family_marginal(n)
-        for pid in [f"A{i}" for i in range(25, 37)]:
-            ok = ok and dist.marginal(tables[n][pid], "first") == want
-    checks.append(
-        (f"A25..A36 brute-force marginals == marginal recurrence (n<={n_max})", ok)
-    )
-
-    ninv = min(n_max, 8)
-    ok = True
-    for n in range(2, ninv + 1):
-        want = cf.a25_family_marginal(n)
-        got = [invseq.count_with_stat(n, k) for k in range(len(want))]
-        ok = ok and got == want
-        ok = ok and all(
-            invseq.count_by_recurrence(n, k) == want[k] for k in range(len(want))
-        )
-    checks.append((f"I(n,k) == T(n,k) for all k (n<={ninv})", ok))
-
-    ok = all(
-        cf.stirling_convolution_identity(n, m, r)
-        for n in range(11)
-        for m in range(n + 1)
-        for r in range(m + 1)
-    )
-    checks.append(("stirling convolution identity (0<=r<=m<=n<=10)", ok))
-
-    return checks, all(good for _, good in checks)
-
-
 def cmd_crosscheck(args: argparse.Namespace) -> int:
-    cfg = config_from_args(args)
-    checks, all_ok = _crosscheck_lines(cfg.n_max, cfg.workers)
-    if cfg.format == "json":
-        payload = {"n_max": cfg.n_max, "checks": [{"name": c, "pass": p} for c, p in checks]}
-        _emit(json.dumps(payload, sort_keys=True), cfg.out)
+    _validated(args)
+    records = [
+        checks.run(name, span(args.n), args.workers)
+        for name, (_, span) in checks.CHECKS.items()
+    ]
+    ok = all(r["pass"] for r in records)
+    if args.format == "json":
+        payload = {"n_max": args.n, "checks": records, "pass": ok}
+        _emit(json.dumps(payload, sort_keys=True), args.out)
     else:
-        lines = [f"{'PASS' if good else 'FAIL'}  {name}" for name, good in checks]
-        lines.append(f"crosscheck: {'ok' if all_ok else 'FAIL'}")
-        _emit("\n".join(lines), cfg.out)
-    return EXIT_OK if all_ok else EXIT_FAIL
+        lines = []
+        for r in records:
+            span = "n={}..{}".format(*r["n"]) if r["n"] else "no n"
+            miss = f"  first mismatch (n, k, l, want, got) = {r['mismatch']}" if r["mismatch"] else ""
+            lines.append(f"{'PASS' if r['pass'] else 'FAIL'}  {r['title']} ({span}){miss}")
+        lines.append(f"crosscheck: {'ok' if ok else 'FAIL'}")
+        _emit("\n".join(lines), args.out)
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +221,10 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
 
 
 def cmd_bijection(args: argparse.Namespace) -> int:
-    cfg = config_from_args(args)
+    _validated(args)
     pair = catalog.get_pair(args.pair) if args.pair else None
-    report = bijections.verify_swap_bijection(args.map, cfg.n_max, pair)
-    _emit(report.to_json(), cfg.out)
+    report = bijections.verify_swap_bijection(args.map, args.n, pair)
+    _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -416,12 +265,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, n_default: int | None = None) -> None:
+    def add_common(
+        p: argparse.ArgumentParser,
+        formats: tuple[str, ...],
+        *,
+        n_default: int | None = None,
+        workers: bool = True,
+    ) -> None:
+        # Only the flags and formats that the command reads; the first
+        # format is the default.
         if n_default is not None:
             p.add_argument("--n", type=int, default=n_default, help=f"max n (default {n_default})")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="write the report/table to a file")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers (by first entry)")
+        if workers:
+            p.add_argument("--workers", type=int, default=1, help="parallel workers (by first entry)")
 
     p = sub.add_parser("count", help="count occurrences of PATTERN in PERM")
     p.add_argument("perm")
@@ -431,34 +290,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="joint table of a catalog pair at one n")
     p.add_argument("pair")
     p.add_argument("n", type=int)
-    add_common(p)
+    add_common(p, ("text", "json", "csv"))
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="brute-force catalog verification")
     p.add_argument("--pairs", nargs="*", default=["all"], help="pair ids or 'all'")
     p.add_argument("--strict", action="store_true", help="conjecture failures are fatal")
-    add_common(p, n_default=7)
+    add_common(p, ("text", "json"), n_default=7)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("crosscheck", help="closed forms vs brute force")
-    add_common(p, n_default=7)
+    add_common(p, ("text", "json"), n_default=7)
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("bijection", help="exhaustively check an explicit map")
     p.add_argument("map", help="S9|S11|S13|S15|S17|S21 or complement|reverse or a pair id")
     p.add_argument("--pair", default=None, help="pair id for complement/reverse maps")
-    add_common(p, n_default=5)
+    add_common(p, (), n_default=5, workers=False)
     p.set_defaults(func=cmd_bijection)
 
     p = sub.add_parser("catalog", help="catalog operations")
     p.add_argument("action", choices=("validate",))
     p.add_argument("--path", default=None, help="validate a catalog file instead of the builtin")
-    add_common(p)
+    add_common(p, ("text", "json"), workers=False)
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("export", help="write joint tables for selected pairs")
     p.add_argument("--pairs", nargs="*", default=["all"])
-    add_common(p, n_default=5)
+    add_common(p, ("json", "csv"), n_default=5)
     p.set_defaults(func=cmd_export)
 
     return parser

@@ -56,26 +56,6 @@ def stirling1(n: int, k: int) -> int:
     return (n - 1) * stirling1(n - 1, k) + stirling1(n - 1, k - 1)
 
 
-@dataclass(frozen=True)
-class StirlingTable:
-    """Triangular table of c(n, k) for 0 <= k <= n <= nmax."""
-
-    nmax: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, nmax: int) -> "StirlingTable":
-        rows = tuple(
-            tuple(stirling1(n, k) for k in range(n + 1)) for n in range(nmax + 1)
-        )
-        return cls(nmax, rows)
-
-    def value(self, n: int, k: int) -> int:
-        if k > n:
-            return 0
-        return self.rows[n][k]
-
-
 def stirling_pair_count(n: int, k: int) -> int:
     """Number of n-permutations with k occurrences of STIRLING_PAIR_12.
 

@@ -206,10 +206,7 @@ def _tally(pairs: Sequence[Pair], pis: Iterable[Perm]) -> list[dict]:
 
 
 def _tally_worker(args) -> list[dict]:
-    n, pair_texts, firsts = args
-    pairs = [
-        (mesh.parse_pattern(t1), mesh.parse_pattern(t2)) for t1, t2 in pair_texts
-    ]
+    n, pairs, firsts = args
     return _tally(pairs, _perms_with_first(n, firsts))
 
 
@@ -226,10 +223,7 @@ def joint_tables(
         return [JointTable.from_dict(0, {(0, 0): 1}) for _ in pairs]
     if workers <= 1 or n < 2:
         return [JointTable.from_dict(n, t) for t in _tally(pairs, perms.enumerate_sn(n))]
-    pair_texts = [
-        (mesh.format_pattern(q1), mesh.format_pattern(q2)) for q1, q2 in pairs
-    ]
-    jobs = [(n, pair_texts, [first]) for first in range(1, n + 1)]
+    jobs = [(n, pairs, [first]) for first in range(1, n + 1)]
     with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
         parts = list(pool.map(_tally_worker, jobs))
     tables = [JointTable.from_dict(n, t) for t in parts[0]]

@@ -18,9 +18,7 @@ import random
 import time
 from math import comb
 
-import pytest
-
-from meshperm import bijections as bj, catalog, closed_forms as cf, dist, invseq, mesh, perms
+from meshperm import bijections as bj, catalog, checks, closed_forms as cf, dist, invseq, mesh, perms
 
 CAT = catalog.builtin_catalog()
 IDS = [p.id for p in CAT]
@@ -88,63 +86,35 @@ def test_c04_frame_equality():
 
 
 def test_c05_s19_split_recurrence():
-    for n in range(2, 8):
-        assert cf.s19_table(n) == table_of("S19", n), n
-        assert cf.s19_table(n) == table_of("S20", n), n
-    p = catalog.get_pair("S19")
-    for n in range(2, 7):
-        split = dist.split_distribution(
-            n, p.q1, p.q2, lambda pi: "desc" if pi[0] > pi[1] else "asc"
-        )
-        rec = cf.s19_split_tables(n)
-        assert rec.part1 == split["desc"], n
-        assert rec.part2 == split["asc"], n
+    assert checks.run("S19", range(2, 8))["pass"]  # the S19 and S20 tables
+    assert checks.run("S19-split", range(2, 7))["pass"]
     print("criterion 5: PASS (S19 recurrence == brute force n<=7; split classes n<=6)")
 
 
 def test_c06_stirling_pair_distribution():
-    pats = (cf.STIRLING_PAIR_12, cf.STIRLING_PAIR_12_FLIP, cf.STIRLING_PAIR_21)
-    for pat in pats:
-        for n in range(1, 9):
-            got = dist.distribution(n, pat)
-            want = [cf.stirling1(n, k + 1) for k in range(len(got))]
-            assert got == want, (mesh.format_pattern(pat), n)
-            assert sum(got) == math.factorial(n)
+    assert checks.run("stirling-pairs", range(1, 9))["pass"]
     print("criterion 6: PASS (length-2 pattern counts equal c(n,k+1) for n<=8)")
 
 
 def test_c07_a17_closed_form():
-    for n in range(2, 8):
-        t = cf.a17_table(n)
-        assert t == table_of("A17", n), n
-        for k in range(n - 1):
-            for l in range(n - 1):
-                assert cf.a17_entry(n, k, l) == cf.a17_entry_by_convolution(n, k, l)
-    a_values = [cf.harmonic_factorial(n - 2) for n in range(2, 7)]
-    assert a_values == [1, 2, 5, 17, 74]
-    for n in range(2, 7):
-        assert table_of("A17", n).entry(0, 0) == 2 * a_values[n - 2], n
-    print("criterion 7: PASS (A17 closed form == convolution == brute force n<=7; "
-          "double avoiders 2*(1,2,5,17,74))")
+    assert checks.run("A17", range(2, 8))["pass"]
+    assert checks.run("A17-convolution", range(2, 10))["pass"]  # k, l <= n
+    assert checks.run("A17-avoiders", range(2, 8))["pass"]
+    assert [cf.harmonic_factorial(n - 2) for n in range(2, 7)] == [1, 2, 5, 17, 74]
+    print("criterion 7: PASS (A17 closed form == brute force n<=7, == convolution "
+          "n<=9; double avoiders 2*(1,2,5,17,74))")
 
 
 def test_c08_a25_split_recurrence():
-    for n in range(2, 8):
-        want = cf.a25_table(n)
-        for pid in [f"A{i}" for i in range(25, 33)]:
-            assert table_of(pid, n) == want, (pid, n)
-    print("criterion 8: PASS (A25 split recurrence == brute force for A25..A32, n<=7)")
+    assert checks.run("A25", range(2, 8))["pass"]  # the A25..A32 tables
+    assert checks.run("A25-split", range(2, 7))["pass"]
+    print("criterion 8: PASS (A25 recurrence == brute force A25..A32 n<=7; split n<=6)")
 
 
 def test_c09_a33_polynomial_recurrence():
     assert cf.a33_polynomial(4).render() == "x^2 + y^2 + 6x + 6y + 10"
-    for n in range(2, 8):
-        assert cf.a33_polynomial(n) == dist.to_polynomial(table_of("A33", n)), n
-    for n in range(4, 10):
-        poly = cf.a33_polynomial(n)
-        for k in range(n):
-            for l in range(n):
-                assert cf.a33_entry_by_recurrence(n, k, l) == poly.coefficient(k, l)
+    assert checks.run("A33", range(2, 8))["pass"]
+    assert checks.run("A33-coefficients", range(4, 10))["pass"]
     print("criterion 9: PASS (A33 polynomial == brute force n<=7; coefficient "
           "recurrence agrees n<=9)")
 
@@ -152,24 +122,13 @@ def test_c09_a33_polynomial_recurrence():
 def test_c10_shared_marginal():
     assert cf.a25_family_marginal(4) == [17, 6, 1]
     assert cf.a25_family_marginal(5) == [73, 37, 9, 1]
-    assert sum(cf.a25_family_marginal(4)) == 24
-    assert sum(cf.a25_family_marginal(5)) == 120
-    for n in range(2, 8):
-        want = cf.a25_family_marginal(n)
-        for pid in [f"A{i}" for i in range(25, 37)]:
-            assert dist.marginal(table_of(pid, n), "first") == want, (pid, n)
+    assert checks.run("marginals", range(2, 8))["pass"]
     print("criterion 10: PASS (A25..A36 share the marginal recurrence for n<=7)")
 
 
 def test_c11_inversion_sequences():
     assert invseq.count_with_stat(3, 1) == 1
-    for n in range(2, 9):
-        want = cf.a25_family_marginal(n)
-        got = [invseq.count_with_stat(n, k) for k in range(n - 1)]
-        assert got == want, n
-        assert sum(got) == math.factorial(n)
-        for k in range(n - 1):
-            assert invseq.count_by_recurrence(n, k) == want[k], (n, k)
+    assert checks.run("invseq", range(2, 9))["pass"]
     print("criterion 11: PASS (I(n,k) == T(n,k) for n<=8; recurrence agrees)")
 
 
@@ -276,10 +235,7 @@ def test_c14_equivariance_random():
 
 
 def test_c15_stirling_convolution_identity():
-    for n in range(11):
-        for m in range(n + 1):
-            for r in range(m + 1):
-                assert cf.stirling_convolution_identity(n, m, r), (n, m, r)
+    assert checks.run("stirling-convolution", range(11))["pass"]
     print("criterion 15: PASS (identity holds for all 0<=r<=m<=n<=10)")
 
 

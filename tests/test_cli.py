@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from meshperm import cli
+from meshperm import cli, closed_forms, dist
 
 
 def run(capsys, *argv):
@@ -109,7 +109,29 @@ def test_crosscheck(capsys):
     code, out, _ = run(capsys, "crosscheck", "--n", "4")
     assert code == 0
     assert "crosscheck: ok" in out
-    assert "FAIL" not in out
+    assert "FAIL" not in out and out.count("PASS") == 13
+    assert "PASS  A17 closed form == brute force (n=2..4)" in out
+
+
+def test_crosscheck_names_the_first_mismatch(capsys, monkeypatch):
+    # One A17 closed-form cell at n = 5 off by one: only A17 fails, naming it.
+    real = closed_forms.a17_table
+
+    def corrupt(n):
+        table = real(n)
+        if n != 5:
+            return table
+        counts = [list(row) for row in table.counts]
+        counts[1][0] += 1
+        return dist.JointTable(n, tuple(map(tuple, counts)))
+
+    monkeypatch.setattr(closed_forms, "a17_table", corrupt)
+    code, out, _ = run(capsys, "crosscheck", "--n", "5", "--format", "json")
+    failed = [r for r in json.loads(out)["checks"] if not r["pass"]]
+    assert code == 1 and [r["name"] for r in failed] == ["A17"]
+    assert failed[0]["mismatch"] == [5, 1, 0, 30, 29]
+    code, out, _ = run(capsys, "crosscheck", "--n", "5")
+    assert code == 1 and "first mismatch (n, k, l, want, got) = [5, 1, 0, 30, 29]" in out
 
 
 def test_bijection_pass_and_fail(capsys):
@@ -154,3 +176,22 @@ def test_capacity_env(capsys, monkeypatch):
 def test_workers_flag(capsys):
     code, out, _ = run(capsys, "table", "A33", "4", "--workers", "2")
     assert code == 0 and out.strip() == "x^2 + y^2 + 6x + 6y + 10"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bijection S9 --format csv",
+        "bijection S9 --workers 2",
+        "catalog validate --workers 9",
+        "catalog validate --format csv",
+        "verify --format csv",
+        "crosscheck --format csv",
+        "export --format text",
+    ],
+)
+def test_flags_a_command_ignores_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
