@@ -11,7 +11,6 @@ each side checks the other.  The 58 built-in pattern pairs live in
 from .bijections import verify_swap_bijection
 from .catalog import builtin_catalog, get_pair, load_catalog, validate_derivations
 from .dist import (
-    BivarPoly,
     JointTable,
     avoider_count,
     is_jointly_symmetric,
@@ -19,7 +18,6 @@ from .dist import (
     joint_tables,
     marginal,
     merge,
-    to_polynomial,
 )
 from .mesh import (
     MeshPattern,
@@ -46,7 +44,6 @@ from .perms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivarPoly",
     "JointTable",
     "MeshPattern",
     "Perm",
@@ -74,7 +71,6 @@ __all__ = [
     "reverse",
     "reverse_pattern",
     "standardize",
-    "to_polynomial",
     "validate_derivations",
     "verify_swap_bijection",
 ]

@@ -2,11 +2,14 @@
 Each closed form, recurrence and inversion-sequence count, checked once
 against a second route, usually the brute-force sweep.
 
-A check is a function of ``(n, workers)`` that yields ``(k, l, want, got)``
-for every value it compares, with k or l None where it does not apply and
-``want`` from the closed form.  :func:`run` reduces a check over a range
-of n to a record: name, title, n range, pass, the first mismatch as
-``[n, k, l, want, got]`` (None on a pass) and the seconds taken.
+A check is a function of ``(n, workers)`` that yields
+``(table, k, l, want, got)`` for every value it compares: ``table`` names
+the table or route compared (a pair id, a pair id with a split class,
+a pattern, or an inversion-sequence counter), k or l is None where it does
+not apply and ``want`` comes from the closed form.  :func:`run` reduces a
+check over a range of n to a record: name, title, n range, pass, the
+first mismatch as ``[n, k, l, want, got]`` and the table it lies in (both
+None on a pass), and the seconds taken.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import itertools
 import time
 from typing import Iterable, Iterator
 
-from . import catalog, closed_forms as cf, dist, invseq
+from . import catalog, closed_forms as cf, dist, invseq, mesh
 
 ANCHORS = ["S19", "S20", "A17"] + [f"A{i}" for i in range(25, 37)]
 
@@ -29,109 +32,109 @@ def _brute(n: int, workers: int) -> dict[str, dist.JointTable]:
     return dict(zip(ANCHORS, dist.joint_tables(n, pairs, workers=workers)))
 
 
-def _grid(want: dist.JointTable, got: dist.JointTable) -> Iterator[tuple]:
+def _grid(table: str, want: dist.JointTable, got: dist.JointTable) -> Iterator[tuple]:
     """Every (k, l) cell of two tables, missing entries read 0."""
     rows = max(len(want.counts), len(got.counts))
     cols = max(map(len, want.counts + got.counts))
     for k, l in itertools.product(range(rows), range(cols)):
-        yield k, l, want.entry(k, l), got.entry(k, l)
+        yield table, k, l, want.entry(k, l), got.entry(k, l)
 
 
-def _row(want: list[int], got: list[int]) -> Iterator[tuple]:
+def _row(table: str, want: list[int], got: list[int]) -> Iterator[tuple]:
     """Every k of two sequences, missing entries read 0."""
     for k in range(max(len(want), len(got))):
-        yield k, None, want[k] if k < len(want) else 0, got[k] if k < len(got) else 0
+        yield table, k, None, want[k] if k < len(want) else 0, got[k] if k < len(got) else 0
 
 
-def _split(pid: str, n: int, classify, keys: tuple, rec: cf.SplitTables) -> Iterator[tuple]:
-    """The recurrence's split parts against the brute-force classes."""
+def _split(pid: str, n: int, classify, rec: dict) -> Iterator[tuple]:
+    """The recurrence's split classes against the brute-force classes; a
+    class missing on one side reads as an all-zero table."""
     p = catalog.get_pair(pid)
     split = dist.split_distribution(n, p.q1, p.q2, classify)
-    for key, part in zip(keys, rec.parts):
-        yield from _grid(part, split.get(key, dist.JointTable.from_dict(n, {})))
+    empty = dist.JointTable.from_dict(n, {})
+    for key in sorted(rec.keys() | split.keys(), key=str):
+        table = f"{pid} {classify.__name__}={key}"
+        yield from _grid(table, rec.get(key, empty), split.get(key, empty))
 
 
 def s19(n: int, workers: int) -> Iterator[tuple]:
     """S19 split recurrence total == brute force for S19 and S20"""
     want = cf.s19_table(n)
     for pid in ("S19", "S20"):
-        yield from _grid(want, _brute(n, workers)[pid])
+        yield from _grid(pid, want, _brute(n, workers)[pid])
 
 
 def s19_split(n: int, workers: int) -> Iterator[tuple]:
     """S19 split parts == sign-of-first-step classes"""
-    # part1 holds the permutations that start with a descent, part2 the rest.
-    yield from _split("S19", n, lambda pi: pi[0] > pi[1], (True, False), cf.s19_split_tables(n))
+    yield from _split("S19", n, cf.first_step_descends, cf.s19_split_tables(n))
 
 
 def stirling_pairs(n: int, workers: int) -> Iterator[tuple]:
     """tilde_T(n,k) == c(n,k+1) for the three length-2 patterns"""
     want = [cf.stirling_pair_count(n, k) for k in range(n)]
     for pat in (cf.STIRLING_PAIR_12, cf.STIRLING_PAIR_12_FLIP, cf.STIRLING_PAIR_21):
-        yield from _row(want, dist.distribution(n, pat))
+        yield from _row(mesh.format_pattern(pat), want, dist.distribution(n, pat))
 
 
 def a17(n: int, workers: int) -> Iterator[tuple]:
     """A17 closed form == brute force"""
-    yield from _grid(cf.a17_table(n), _brute(n, workers)["A17"])
+    yield from _grid("A17", cf.a17_table(n), _brute(n, workers)["A17"])
 
 
 def a17_convolution(n: int, workers: int) -> Iterator[tuple]:
     """A17 closed form == binomial convolution (k, l <= n)"""
     for k, l in itertools.product(range(n + 1), repeat=2):
-        yield k, l, cf.a17_entry(n, k, l), cf.a17_entry_by_convolution(n, k, l)
+        yield "A17", k, l, cf.a17_entry(n, k, l), cf.a17_entry_by_convolution(n, k, l)
 
 
 def a17_avoiders(n: int, workers: int) -> Iterator[tuple]:
     """A17 double avoiders == 2*harmonic_factorial(n-2)"""
-    yield 0, 0, cf.a17_double_avoiders(n), _brute(n, workers)["A17"].entry(0, 0)
+    yield "A17", 0, 0, cf.a17_double_avoiders(n), _brute(n, workers)["A17"].entry(0, 0)
 
 
 def a25(n: int, workers: int) -> Iterator[tuple]:
     """A25 split recurrence total == brute force for A25..A32"""
     want = cf.a25_table(n)
-    for i in range(25, 33):
-        yield from _grid(want, _brute(n, workers)[f"A{i}"])
+    for pid in [f"A{i}" for i in range(25, 33)]:
+        yield from _grid(pid, want, _brute(n, workers)[pid])
 
 
 def a25_split(n: int, workers: int) -> Iterator[tuple]:
     """A25 split parts == position-of-max classes"""
-    keys = ("first", "last", "interior")
-    yield from _split("A25", n, cf.position_of_max_class, keys, cf.a25_split_tables(n))
+    yield from _split("A25", n, cf.position_of_max_class, cf.a25_split_tables(n))
 
 
 def a33(n: int, workers: int) -> Iterator[tuple]:
     """A33 polynomial recurrence == brute force"""
-    poly = dist.JointTable(n, cf.a33_polynomial(n).coeffs)
-    yield from _grid(poly, _brute(n, workers)["A33"])
+    yield from _grid("A33", cf.a33_polynomial(n), _brute(n, workers)["A33"])
 
 
 def a33_coefficients(n: int, workers: int) -> Iterator[tuple]:
     """A33 coefficient recurrence == polynomial"""
     poly = cf.a33_polynomial(n)
     for k, l in itertools.product(range(n), repeat=2):
-        yield k, l, poly.coefficient(k, l), cf.a33_entry_by_recurrence(n, k, l)
+        yield "A33", k, l, poly.entry(k, l), cf.a33_entry_by_recurrence(n, k, l)
 
 
 def marginals(n: int, workers: int) -> Iterator[tuple]:
     """A25..A36 brute-force marginals == marginal recurrence"""
     want = cf.a25_family_marginal(n)
-    for i in range(25, 37):
-        yield from _row(want, dist.marginal(_brute(n, workers)[f"A{i}"], "first"))
+    for pid in [f"A{i}" for i in range(25, 37)]:
+        yield from _row(pid, want, dist.marginal(_brute(n, workers)[pid], "first"))
 
 
 def inversion_sequences(n: int, workers: int) -> Iterator[tuple]:
     """I(n,k) == T(n,k) for all k, by count and by recurrence"""
     want = cf.a25_family_marginal(n)
     for count in (invseq.count_with_stat, invseq.count_by_recurrence):
-        yield from _row(want, [count(n, k) for k in range(len(want))])
+        yield from _row(count.__name__, want, [count(n, k) for k in range(len(want))])
 
 
 def stirling_convolution(n: int, workers: int) -> Iterator[tuple]:
     """Stirling convolution identity, 0<=r<=m<=n, as (k, l) = (m, r)"""
     for m in range(n + 1):
         for r in range(m + 1):
-            yield m, r, True, cf.stirling_convolution_identity(n, m, r)
+            yield "stirling1", m, r, True, cf.stirling_convolution_identity(n, m, r)
 
 
 # name -> (check, the n range that ``crosscheck --n n_max`` runs it over)
@@ -156,19 +159,20 @@ def run(name: str, ns: Iterable[int], workers: int = 1) -> dict:
     """Run check ``name`` over every n in ``ns`` and return its record.
 
     >>> record = run("A17-convolution", range(2, 4))
-    >>> record["pass"], record["n"], record["mismatch"]
-    (True, [2, 3], None)
+    >>> record["pass"], record["n"], record["mismatch"], record["table"]
+    (True, [2, 3], None, None)
     """
     check, _ = CHECKS[name]
     ns = list(ns)
     t0 = time.perf_counter()
-    cells = ([n, *cell] for n in ns for cell in check(n, workers))
-    mismatch = next((cell for cell in cells if cell[-2] != cell[-1]), None)
+    cells = ((table, [n, *cell]) for n in ns for table, *cell in check(n, workers))
+    table, mismatch = next(((t, c) for t, c in cells if c[-2] != c[-1]), (None, None))
     return {
         "name": name,
         "title": check.__doc__,
         "n": [ns[0], ns[-1]] if ns else [],
         "pass": mismatch is None,
         "mismatch": mismatch,
+        "table": table,
         "seconds": round(time.perf_counter() - t0, 3),
     }

@@ -92,7 +92,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     _validated(args)
     pair = catalog.get_pair(args.pair)
     table = dist.joint_distribution(args.n, pair.q1, pair.q2, workers=args.workers)
-    print(dist.to_polynomial(table).render())
+    print(table.render())
     if args.format != "text" or args.out:
         _emit(_render_table(table, pair, args.format), args.out)
     return EXIT_OK
@@ -124,6 +124,8 @@ NEVER_BOTH_IDS = {f"S{i}" for i in range(9, 19)}
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _validated(args)
+    if args.n < 2:
+        raise ValueError(f"verify needs --n >= 2, got {args.n}")
     selected = _selected_pairs(args.pairs)
     n_max = args.n
     ids = [p.id for p in selected]
@@ -208,7 +210,10 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
         lines = []
         for r in records:
             span = "n={}..{}".format(*r["n"]) if r["n"] else "no n"
-            miss = f"  first mismatch (n, k, l, want, got) = {r['mismatch']}" if r["mismatch"] else ""
+            miss = (
+                f"  first mismatch (n, k, l, want, got) = {r['mismatch']} in {r['table']}"
+                if r["mismatch"] else ""
+            )
             lines.append(f"{'PASS' if r['pass'] else 'FAIL'}  {r['title']} ({span}){miss}")
         lines.append(f"crosscheck: {'ok' if ok else 'FAIL'}")
         _emit("\n".join(lines), args.out)

@@ -10,25 +10,29 @@ permutations with the reference scan.
 
 Anchor pairs and what is computed for them:
 
-* S19 -- two-part split tables by the sign of the first step, built by a
-  coupled pair of insertion recurrences.
+* S19 -- split tables by the sign of the first step, built by a coupled
+  pair of insertion recurrences.
 * A17 -- closed form in binomials times unsigned Stirling numbers of the
   first kind, plus an equivalent binomial convolution.
-* A25 -- three-part split tables by the position of the largest entry.
+* A25 -- split tables by the position of the largest entry.
 * A33 -- bivariate polynomial recurrence and the matching five-term
   coefficient recurrence.
 * A25..A36 share one single-pattern distribution; its marginal recurrence
   is :func:`a25_family_marginal`.
+
+Every table is a :class:`meshperm.dist.JointTable`.  A split is a dict from
+class to table, as :func:`meshperm.dist.split_distribution` returns it for
+the same classifier (:func:`first_step_descends`,
+:func:`position_of_max_class`), with no entry for an empty class.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import comb, factorial
 
 from . import dist, mesh
-from .dist import BivarPoly, JointTable
+from .dist import JointTable
 
 # Length-2 auxiliary patterns whose occurrence distribution over S_n is the
 # shifted Stirling column c(n, k+1).
@@ -109,21 +113,9 @@ def stirling_convolution_identity(n: int, m: int, r: int) -> bool:
 Entry = dict[tuple[int, int], int]
 
 
-@dataclass(frozen=True)
-class SplitTables:
-    """A joint table split into three parts (the third may be all zero)."""
-
-    n: int
-    part1: JointTable
-    part2: JointTable
-    part3: JointTable
-
-    def total(self) -> JointTable:
-        return dist.merge(dist.merge(self.part1, self.part2), self.part3)
-
-    @property
-    def parts(self) -> tuple[JointTable, JointTable, JointTable]:
-        return (self.part1, self.part2, self.part3)
+def _split(n: int, parts: dict) -> dict[object, JointTable]:
+    """Class -> table, leaving out the empty classes."""
+    return {key: JointTable.from_dict(n, t) for key, t in parts.items() if t}
 
 
 def _get(d: Entry, k: int, l: int) -> int:
@@ -132,23 +124,24 @@ def _get(d: Entry, k: int, l: int) -> int:
     return d.get((k, l), 0)
 
 
-def _zero_table(n: int) -> JointTable:
-    return JointTable.from_dict(n, {})
+def first_step_descends(pi) -> bool:
+    """True when pi starts with a descent, pi_1 > pi_2: the S19 split."""
+    return pi[0] > pi[1]
 
 
-def s19_split_tables(n: int) -> SplitTables:
-    """Joint tables of pair S19 split by the sign of the first step.
+def s19_split_tables(n: int) -> dict[bool, JointTable]:
+    """Joint tables of pair S19 split by :func:`first_step_descends`.
 
-    part1 counts permutations with pi_1 > pi_2, part2 those with
-    pi_1 < pi_2 (part3 is identically zero).  Built by the coupled
-    insertion recurrences
+    part1 (key True) counts permutations with pi_1 > pi_2, part2 (key
+    False) those with pi_1 < pi_2.  Built by the coupled insertion
+    recurrences
 
         part1(n,k,l) = (n-2) part1(n-1,k,l) + part1(n-1,k,l-1) + part2(n-1,k,l)
         part2(n,k,l) = part1(n-1,k,l) + (n-2) part2(n-1,k,l) + part2(n-1,k-1,l)
 
     from part1 = part2 = {(0,0): 1} at n = 2.
 
-    >>> s19_split_tables(2).part1.counts
+    >>> s19_split_tables(2)[True].counts
     ((1,),)
     """
     if n < 2:
@@ -171,17 +164,12 @@ def s19_split_tables(n: int) -> SplitTables:
             if v2:
                 new2[(k, l)] = v2
         t1, t2 = new1, new2
-    return SplitTables(
-        n,
-        JointTable.from_dict(n, t1),
-        JointTable.from_dict(n, t2),
-        _zero_table(n),
-    )
+    return _split(n, {True: t1, False: t2})
 
 
 def s19_table(n: int) -> JointTable:
     """Recurrence-built joint table of pair S19 (sum of the two parts)."""
-    return s19_split_tables(n).total()
+    return functools.reduce(dist.merge, s19_split_tables(n).values())
 
 
 def position_of_max_class(pi) -> str:
@@ -202,11 +190,11 @@ _A25_SEED = {
 }
 
 
-def a25_split_tables(n: int) -> SplitTables:
-    """Joint tables of pair A25 split by the position of the largest entry.
+def a25_split_tables(n: int) -> dict[str, JointTable]:
+    """Joint tables of pair A25 split by :func:`position_of_max_class`.
 
-    part1: largest entry first; part2: largest entry last; part3: interior.
-    Iterates, from the split of S_3,
+    part1 ("first"): largest entry first; part2 ("last"): largest entry
+    last; part3 ("interior"): elsewhere.  Iterates, from the split of S_3,
 
         part1(n,k,l) = part1(n-1,k,l-1) + part2(n-1,k,l) + part3(n-1,k,l-1)
         part2(n,k,l) = part1(n-1,k,l) + part2(n-1,k-1,l) + part3(n-1,k-1,l)
@@ -232,17 +220,12 @@ def a25_split_tables(n: int) -> SplitTables:
             if v3:
                 new3[(k, l)] = v3
         t1, t2, t3 = new1, new2, new3
-    return SplitTables(
-        n,
-        JointTable.from_dict(n, t1),
-        JointTable.from_dict(n, t2),
-        JointTable.from_dict(n, t3),
-    )
+    return _split(n, {"first": t1, "last": t2, "interior": t3})
 
 
 def a25_table(n: int) -> JointTable:
-    """Recurrence-built joint table of pair A25."""
-    return a25_split_tables(n).total()
+    """Recurrence-built joint table of pair A25 (sum of the parts)."""
+    return functools.reduce(dist.merge, a25_split_tables(n).values())
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +256,7 @@ def a17_entry(n: int, k: int, l: int) -> int:
 def a17_table(n: int) -> JointTable:
     """Joint table of pair A17 from the closed form.
 
-    >>> from .dist import to_polynomial
-    >>> to_polynomial(a17_table(4)).render()
+    >>> a17_table(4).render()
     'x^2 + y^2 + 6x + 6y + 10'
     """
     if n < 2:
@@ -332,8 +314,9 @@ def a17_double_avoiders(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def a33_polynomial(n: int) -> BivarPoly:
-    """Joint generating polynomial of pair A33 by the two-term recurrence
+def a33_polynomial(n: int) -> JointTable:
+    """Joint table of pair A33 as its generating polynomial, by the two-term
+    recurrence
 
         T_n = (n + x + y - 2) T_{n-1} + (1 - xy) T_{n-2}
 
@@ -346,7 +329,7 @@ def a33_polynomial(n: int) -> BivarPoly:
         raise ValueError("defined for n >= 2")
     prev: Entry = {(0, 0): 2}
     if n == 2:
-        return BivarPoly.from_dict(prev)
+        return JointTable.from_dict(n, prev)
     cur: Entry = {(0, 0): 4, (1, 0): 1, (0, 1): 1}
     for m in range(4, n + 1):
         nxt: Entry = {}
@@ -363,7 +346,7 @@ def a33_polynomial(n: int) -> BivarPoly:
             add(k, l, c)
             add(k + 1, l + 1, -c)
         prev, cur = cur, {kl: c for kl, c in nxt.items() if c}
-    return BivarPoly.from_dict(cur)
+    return JointTable.from_dict(n, cur)
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,15 +4,15 @@ Joint occurrence-count distributions over S_n.
 The central object is the :class:`JointTable`: an exact-integer matrix
 whose (k, l) entry counts the n-permutations with exactly k occurrences of
 a first pattern and l occurrences of a second.  Every table over S_n sums
-to n!.  Tables convert to bivariate polynomials (:class:`BivarPoly`) whose
-coefficient of x^k y^l is the (k, l) entry.
+to n!.  The same matrix is the table's generating polynomial, whose
+coefficient of x^k y^l is the (k, l) entry; :meth:`JointTable.render`
+prints it.  Closed forms, recurrences and split tables use this one type.
 
 Every table comes from one sweep over S_n (:func:`_sweep`), which counts
 the occurrences of many patterns in each permutation with the box masks of
 :func:`meshperm.mesh.box_masks`.  The sweep can be partitioned by the first
-entry of the permutation and the partial tables combined with
-:func:`merge`, which is a commutative monoid, so results are deterministic
-regardless of schedule.
+entry of the permutation; the partial tallies are summed, as :func:`merge`
+sums whole tables, so results do not depend on the schedule.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import csv
 import io
 import itertools
 import json
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -73,6 +74,33 @@ class JointTable:
                 if c:
                     yield k, l, c
 
+    def to_dict(self) -> dict[tuple[int, int], int]:
+        """The nonzero entries as a sparse (k, l) -> count dict."""
+        return {(k, l): c for k, l, c in self.cells()}
+
+    def render(self) -> str:
+        """The generating polynomial as text, descending total degree,
+        x-powers before y-powers.
+
+        >>> JointTable.from_dict(3, {(0, 0): 4, (1, 0): 1, (0, 1): 1}).render()
+        'x + y + 4'
+        """
+        terms = sorted(self.cells(), key=lambda t: (-(t[0] + t[1]), -t[0]))
+        if not terms:
+            return "0"
+        parts = []
+        for k, l, c in terms:
+            xpart = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
+            ypart = "" if l == 0 else ("y" if l == 1 else f"y^{l}")
+            body = xpart + ypart
+            if not body:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(body)
+            else:
+                parts.append(f"{c}{body}")
+        return " + ".join(parts)
+
 
 def merge(t1: JointTable, t2: JointTable) -> JointTable:
     """Elementwise sum of two partial tables over the same n.
@@ -106,66 +134,6 @@ def marginal(t: JointTable, axis: str = "first") -> list[int]:
         width = max(len(row) for row in t.counts)
         return [sum(row[l] if l < len(row) else 0 for row in t.counts) for l in range(width)]
     raise ValueError(f"axis must be 'first' or 'second', got {axis!r}")
-
-
-@dataclass(frozen=True)
-class BivarPoly:
-    """Bivariate polynomial with exact integer coefficients.
-
-    ``coeffs[k][l]`` is the coefficient of x^k y^l; trailing all-zero rows
-    and columns are trimmed so equal polynomials compare equal.
-    """
-
-    coeffs: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_dict(cls, coeffs: dict[tuple[int, int], int]) -> "BivarPoly":
-        live = {kl: c for kl, c in coeffs.items() if c}
-        return cls(_trimmed(live))
-
-    def to_dict(self) -> dict[tuple[int, int], int]:
-        return {
-            (k, l): c
-            for k, row in enumerate(self.coeffs)
-            for l, c in enumerate(row)
-            if c
-        }
-
-    def coefficient(self, k: int, l: int) -> int:
-        if 0 <= k < len(self.coeffs) and 0 <= l < len(self.coeffs[k]):
-            return self.coeffs[k][l]
-        return 0
-
-    def render(self) -> str:
-        """Readable text, descending total degree, x-powers before y-powers.
-
-        >>> BivarPoly.from_dict({(0, 0): 4, (1, 0): 1, (0, 1): 1}).render()
-        'x + y + 4'
-        """
-        terms = sorted(
-            self.to_dict().items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0])
-        )
-        if not terms:
-            return "0"
-        parts = []
-        for (k, l), c in terms:
-            xpart = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-            ypart = "" if l == 0 else ("y" if l == 1 else f"y^{l}")
-            body = xpart + ypart
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append("-" + body)
-            else:
-                parts.append(f"{c}{body}")
-        return " + ".join(parts)
-
-
-def to_polynomial(t: JointTable) -> BivarPoly:
-    """Generating polynomial of a table: coefficient (k, l) = counts[k][l]."""
-    return BivarPoly.from_dict({(k, l): c for k, l, c in t.cells()})
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +194,8 @@ def joint_tables(
     jobs = [(n, pairs, [first]) for first in range(1, n + 1)]
     with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
         parts = list(pool.map(_tally_worker, jobs))
-    tables = [JointTable.from_dict(n, t) for t in parts[0]]
-    for part in parts[1:]:
-        tables = [
-            merge(acc, JointTable.from_dict(n, t)) for acc, t in zip(tables, part)
-        ]
-    return tables
+    # parts[j][i] is pair i's tally over partition j; sum each pair's column.
+    return [JointTable.from_dict(n, sum(map(Counter, col), Counter())) for col in zip(*parts)]
 
 
 def joint_distribution(

@@ -17,7 +17,7 @@ of chosen entries by construction.
 
 :func:`is_occurrence` checks one position tuple by a direct scan of each
 shaded box; it is the reference semantics.  The occurrence engine is
-:func:`box_masks`: it lists the occurrences of a classical pattern of any
+:func:`box_masks`: it yields the occurrences of a classical pattern of any
 length, each with a bitmask of its empty boxes, so one call serves every
 shading on that pattern.  :func:`occurrences`, :func:`count_occurrences`,
 :func:`joint_counts` and the S_n sweep in :mod:`meshperm.dist` all rest on
@@ -226,8 +226,8 @@ def _extension_bounds(tau: Perm) -> tuple[tuple[int, int], ...]:
     return tuple(bounds)
 
 
-def box_masks(pi: Perm, tau: Perm) -> list[tuple[tuple[int, ...], int]]:
-    """Every occurrence of the classical pattern ``tau`` in ``pi``, in
+def box_masks(pi: Perm, tau: Perm) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield every occurrence of the classical pattern ``tau`` in ``pi``, in
     lexicographic order, as ``(positions, mask)``.
 
     Bit (m+1)*i + j of the mask is set when box (i, j) of the occurrence is
@@ -235,7 +235,7 @@ def box_masks(pi: Perm, tau: Perm) -> list[tuple[tuple[int, ...], int]]:
     positions exactly when ``S & ~mask == 0``.  ``pi`` is not validated;
     :func:`occurrences` is the checked entry point.
 
-    >>> box_masks((2, 3, 1), (1, 2))
+    >>> list(box_masks((2, 3, 1), (1, 2)))
     [((1, 2), 447)]
     """
     n = len(pi)
@@ -255,7 +255,8 @@ def box_masks(pi: Perm, tau: Perm) -> list[tuple[tuple[int, ...], int]]:
         partial = grown
     side = m + 1
     full = (1 << side * side) - 1
-    out = []
+    # Each mask is built only when asked for, so a caller that stops at the
+    # first occurrence pays for one walk of pi.
     for pos, vals in partial:
         chosen = sorted(vals[2:])
         at = set(pos)
@@ -267,8 +268,7 @@ def box_masks(pi: Perm, tau: Perm) -> list[tuple[tuple[int, ...], int]]:
                 base += side
             else:
                 taken |= 1 << base + bisect_left(chosen, v)
-        out.append((pos[1:], full ^ taken))
-    return out
+        yield pos[1:], full ^ taken
 
 
 def occurrences(pi: Perm, pat: MeshPattern) -> Iterator[tuple[int, ...]]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from meshperm import cli, closed_forms, dist
+from meshperm import checks, cli, closed_forms, dist
 
 
 def run(capsys, *argv):
@@ -91,6 +91,13 @@ def test_workers_must_be_positive(capsys):
     assert code == 2 and "workers" in err
 
 
+def test_verify_needs_n_at_least_2(capsys):
+    # Below n = 2 verify would sweep no table and report every check ok.
+    for n in ("1", "0"):
+        code, out, err = run(capsys, "verify", "--pairs", "S19", "--n", n)
+        assert code == 2 and out == "" and "error: verify needs --n >= 2" in err
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--pairs", "S19,S20", "--n", "4", "--format", "json")
     assert code == 0
@@ -132,6 +139,31 @@ def test_crosscheck_names_the_first_mismatch(capsys, monkeypatch):
     assert failed[0]["mismatch"] == [5, 1, 0, 30, 29]
     code, out, _ = run(capsys, "crosscheck", "--n", "5")
     assert code == 1 and "first mismatch (n, k, l, want, got) = [5, 1, 0, 30, 29]" in out
+
+
+def test_crosscheck_names_the_failing_table(capsys, monkeypatch):
+    # Only the brute-force A26 table at n = 5 is off by one in cell (0, 0);
+    # the A25 check compares A25..A32, so its record must name A26.
+    real = checks._brute
+
+    def corrupt(n, workers):
+        tables = real(n, workers)
+        if n != 5:
+            return tables
+        counts = [list(row) for row in tables["A26"].counts]
+        counts[0][0] += 1
+        return {**tables, "A26": dist.JointTable(n, tuple(map(tuple, counts)))}
+
+    monkeypatch.setattr(checks, "_brute", corrupt)
+    code, out, _ = run(capsys, "crosscheck", "--n", "5", "--format", "json")
+    records = {r["name"]: r for r in json.loads(out)["checks"]}
+    assert code == 1
+    assert [name for name, r in records.items() if not r["pass"]] == ["A25", "marginals"]
+    assert records["A25"]["table"] == "A26" and records["marginals"]["table"] == "A26"
+    assert records["A25"]["mismatch"] == [5, 0, 0, 32, 33]
+    assert all(r["table"] is None for r in records.values() if r["pass"])
+    code, out, _ = run(capsys, "crosscheck", "--n", "5")
+    assert code == 1 and "in A26\n" in out and "in A25" not in out
 
 
 def test_bijection_pass_and_fail(capsys):

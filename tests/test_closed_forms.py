@@ -35,12 +35,12 @@ def test_harmonic_factorial():
 
 def test_s19_split_seed_values():
     split = cf.s19_split_tables(2)
-    assert split.part1.counts == ((1,),) and split.part2.counts == ((1,),)
+    assert split[True].counts == ((1,),) and split[False].counts == ((1,),)
     split3 = cf.s19_split_tables(3)
-    assert split3.part1.entry(0, 1) == 1 and split3.part1.entry(1, 0) == 0
-    assert split3.part2.entry(1, 0) == 1 and split3.part2.entry(0, 1) == 0
+    assert split3[True].entry(0, 1) == 1 and split3[True].entry(1, 0) == 0
+    assert split3[False].entry(1, 0) == 1 and split3[False].entry(0, 1) == 0
     # conservation fills (0,0) to half of 3!
-    assert split3.part1.entry(0, 0) == 2 and split3.part2.entry(0, 0) == 2
+    assert split3[True].entry(0, 0) == 2 and split3[False].entry(0, 0) == 2
 
 
 def test_s19_recurrence_matches_brute_force():
@@ -53,7 +53,7 @@ def test_s19_split_matches_classification():
 
 def test_a17_table_values():
     assert cf.a17_table(2).counts == ((2,),)
-    assert dist.to_polynomial(cf.a17_table(4)).render() == "x^2 + y^2 + 6x + 6y + 10"
+    assert cf.a17_table(4).render() == "x^2 + y^2 + 6x + 6y + 10"
     assert cf.a17_entry(5, 0, 0) == 34
 
 
@@ -92,10 +92,20 @@ def test_a25_seed_matches_reference_scan():
             )
             part = parts[cf.position_of_max_class(pi)]
             part[kl] = part.get(kl, 0) + 1
-        rec = cf.a25_split_tables(n)
-        assert (rec.part1, rec.part2, rec.part3) == tuple(
-            dist.JointTable.from_dict(n, parts[key])
-            for key in ("first", "last", "interior")
+        assert cf.a25_split_tables(n) == {
+            key: dist.JointTable.from_dict(n, part) for key, part in parts.items() if part
+        }, n
+    assert "interior" not in cf.a25_split_tables(2)
+
+
+def test_split_tables_have_the_shape_of_split_distribution():
+    s19, a25 = catalog.get_pair("S19"), catalog.get_pair("A25")
+    for n in range(2, 7):
+        assert cf.s19_split_tables(n) == dist.split_distribution(
+            n, s19.q1, s19.q2, cf.first_step_descends
+        ), n
+        assert cf.a25_split_tables(n) == dist.split_distribution(
+            n, a25.q1, a25.q2, cf.position_of_max_class
         ), n
 
 

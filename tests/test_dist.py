@@ -7,7 +7,6 @@ import pytest
 
 from meshperm import catalog, dist, mesh, perms
 from meshperm.dist import (
-    BivarPoly,
     JointTable,
     avoider_count,
     distribution,
@@ -19,7 +18,6 @@ from meshperm.dist import (
     split_distribution,
     table_to_csv,
     table_to_json,
-    to_polynomial,
 )
 
 
@@ -40,7 +38,7 @@ def test_s19_n2():
 
 def test_a33_n3_polynomial():
     t = table("A33", 3)
-    assert to_polynomial(t).render() == "x + y + 4"
+    assert t.render() == "x + y + 4"
 
 
 def test_a17_n3():
@@ -80,16 +78,19 @@ def test_avoider_examples():
     assert t.entry(0, 0) == 34
 
 
-def test_to_polynomial_edge_cases():
-    assert to_polynomial(table("A33", 2)).render() == "2"
+def test_render_edge_cases():
+    assert table("A33", 2).render() == "2"
     empty = joint_distribution(0, pair("A33").q1, pair("A33").q2)
     assert empty.counts == ((1,),)
-    assert to_polynomial(empty).render() == "1"
+    assert empty.render() == "1"
+    assert JointTable.from_dict(3, {}).render() == "0"
 
 
 def test_polynomial_rendering_order():
-    poly = BivarPoly.from_dict({(2, 0): 1, (0, 2): 1, (1, 1): 8, (1, 0): 6, (0, 0): 10})
-    assert poly.render() == "x^2 + 8xy + y^2 + 6x + 10"
+    coeffs = {(2, 0): 1, (0, 2): 1, (1, 1): 8, (1, 0): 6, (0, 0): 10}
+    t = JointTable.from_dict(4, coeffs)
+    assert t.render() == "x^2 + 8xy + y^2 + 6x + 10"
+    assert t.to_dict() == coeffs
 
 
 def test_merge_identity_and_commutativity():
@@ -114,6 +115,15 @@ def test_workers_match_single_threaded():
     seq = joint_distribution(5, p.q1, p.q2, workers=1)
     par = joint_distribution(5, p.q1, p.q2, workers=3)
     assert seq == par
+
+
+def test_catalog_tables_do_not_depend_on_workers():
+    # The pool path sums the per-partition tallies of every pair.
+    pairs = [(p.q1, p.q2) for p in catalog.builtin_catalog()]
+    serial = joint_tables(6, pairs, workers=1)
+    assert len(serial) == 58
+    for workers in (2, 3):
+        assert joint_tables(6, pairs, workers=workers) == serial, workers
 
 
 def reference_positions(pi, q):
