@@ -35,7 +35,6 @@ from .perms import (
     complement,
     enumerate_sn,
     inverse,
-    left_to_right_minima,
     parse_perm,
     reverse,
     standardize,
@@ -62,7 +61,6 @@ __all__ = [
     "joint_counts",
     "joint_distribution",
     "joint_tables",
-    "left_to_right_minima",
     "load_catalog",
     "marginal",
     "merge",

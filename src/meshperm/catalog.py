@@ -31,6 +31,8 @@ from .mesh import MeshPattern
 FAMILIES = ("symmetric", "minus_antipodal")
 STATUSES = ("proven", "conjectured")
 CONJECTURED_IDS = ("S21", "S22")
+# The element-swap pairs: no permutation contains both of their patterns.
+NEVER_BOTH_IDS = tuple(f"S{i}" for i in range(9, 19))
 
 # How each pair's joint equidistribution is established.
 METHODS = {

@@ -1,15 +1,21 @@
 """
-Each closed form, recurrence and inversion-sequence count, checked once
-against a second route, usually the brute-force sweep.
+Every claim the package checks by a second route, once each.
 
 A check is a function of ``(n, workers)`` that yields
 ``(table, k, l, want, got)`` for every value it compares: ``table`` names
 the table or route compared (a pair id, a pair id with a split class,
 a pattern, or an inversion-sequence counter), k or l is None where it does
-not apply and ``want`` comes from the closed form.  :func:`run` reduces a
-check over a range of n to a record: name, title, n range, pass, the
-first mismatch as ``[n, k, l, want, got]`` and the table it lies in (both
-None on a pass), and the seconds taken.
+not apply and ``want`` comes from the closed form or the claim.
+:func:`run` reduces a check over a range of n to a record: name, title,
+n range, pass, the first mismatch as ``[n, k, l, want, got]`` and the table
+it lies in (both None on a pass), and the seconds taken.  A run over no n
+fails.
+
+``crosscheck`` runs the closed-form checks.  ``verify`` runs the catalog
+checks in :data:`VERIFY` (joint symmetry, never-both, frame equality).
+They take two more arguments, the selected pair ids and the ones among
+them that the check covers, and read their tables from one sweep of the
+selection per n.
 """
 
 from __future__ import annotations
@@ -21,15 +27,15 @@ from typing import Iterable, Iterator
 
 from . import catalog, closed_forms as cf, dist, invseq, mesh
 
-ANCHORS = ["S19", "S20", "A17"] + [f"A{i}" for i in range(25, 37)]
+ANCHORS = ("S19", "S20", "A17", *(f"A{i}" for i in range(25, 37)))
 
 
 @functools.lru_cache(maxsize=None)
-def _brute(n: int, workers: int) -> dict[str, dist.JointTable]:
-    """Brute-force tables of the anchor pairs over S_n, from one sweep."""
+def _brute(n: int, workers: int, ids: tuple = ANCHORS) -> dict[str, dist.JointTable]:
+    """Brute-force tables of the pairs ``ids`` over S_n, from one sweep."""
     cat = catalog.by_id()
-    pairs = [(cat[pid].q1, cat[pid].q2) for pid in ANCHORS]
-    return dict(zip(ANCHORS, dist.joint_tables(n, pairs, workers=workers)))
+    pairs = [(cat[pid].q1, cat[pid].q2) for pid in ids]
+    return dict(zip(ids, dist.joint_tables(n, pairs, workers=workers)))
 
 
 def _grid(table: str, want: dist.JointTable, got: dist.JointTable) -> Iterator[tuple]:
@@ -137,7 +143,43 @@ def stirling_convolution(n: int, workers: int) -> Iterator[tuple]:
             yield "stirling1", m, r, True, cf.stirling_convolution_identity(n, m, r)
 
 
-# name -> (check, the n range that ``crosscheck --n n_max`` runs it over)
+def _transposes(pids: list[str], tables: dict) -> Iterator[tuple]:
+    """Every cell of each table against its transpose: (pid, k, l, T[l][k], T[k][l])."""
+    for pid in pids:
+        t = tables[pid]
+        dim = range(max(len(t.counts), len(t.counts[0])))
+        for k, l in itertools.product(dim, repeat=2):
+            yield pid, k, l, t.entry(l, k), t.entry(k, l)
+
+
+def symmetric(n: int, workers: int, selected: tuple, covered: list) -> Iterator[tuple]:
+    """proven pairs: joint table == its transpose"""
+    yield from _transposes(covered, _brute(n, workers, selected))
+
+
+def conjectures(n: int, workers: int, selected: tuple, covered: list) -> Iterator[tuple]:
+    """conjectured pairs: joint table == its transpose"""
+    yield from _transposes(covered, _brute(n, workers, selected))
+
+
+def never_both(n: int, workers: int, selected: tuple, covered: list) -> Iterator[tuple]:
+    """S9..S18 never both: T[k][l] == 0 for k, l > 0"""
+    tables = _brute(n, workers, selected)
+    for pid in covered:
+        t = tables[pid]
+        for k, l in itertools.product(range(1, len(t.counts)), range(1, len(t.counts[0]))):
+            yield pid, k, l, 0, t.entry(k, l)
+
+
+def frame_tables(n: int, workers: int, selected: tuple, covered: list) -> Iterator[tuple]:
+    """tables within each frame == its first selected member's"""
+    tables = _brute(n, workers, selected)
+    for first, *rest in covered:
+        for pid in rest:
+            yield from _grid(pid, tables[first], tables[pid])
+
+
+# name -> (check, the n range that ``--n n_max`` runs it over)
 CHECKS = {
     "S19": (s19, lambda n_max: range(2, n_max + 1)),
     "S19-split": (s19_split, lambda n_max: range(2, min(n_max, 6) + 1)),
@@ -152,26 +194,60 @@ CHECKS = {
     "marginals": (marginals, lambda n_max: range(2, n_max + 1)),
     "invseq": (inversion_sequences, lambda n_max: range(2, min(n_max, 8) + 1)),
     "stirling-convolution": (stirling_convolution, lambda n_max: range(11)),
+    "symmetric": (symmetric, lambda n_max: range(2, n_max + 1)),
+    "conjectures": (conjectures, lambda n_max: range(2, n_max + 1)),
+    "never-both": (never_both, lambda n_max: range(2, n_max + 1)),
+    "frames": (frame_tables, lambda n_max: range(2, n_max + 1)),
 }
 
+# The catalog checks, run by ``verify``: name -> the selected pairs the
+# check covers (for frames, grouped by frame).  ``crosscheck`` runs the rest.
+VERIFY = {
+    "symmetric": lambda ids: [i for i in ids if catalog.get_pair(i).status == "proven"],
+    "conjectures": lambda ids: [i for i in ids if i in catalog.CONJECTURED_IDS],
+    "never-both": lambda ids: [i for i in ids if i in catalog.NEVER_BOTH_IDS],
+    "frames": lambda ids: [
+        [p.id for p in members]
+        for members in catalog.frames([catalog.get_pair(i) for i in ids]).values()
+        if len(members) > 1
+    ],
+}
+CROSSCHECK = tuple(name for name in CHECKS if name not in VERIFY)
 
-def run(name: str, ns: Iterable[int], workers: int = 1) -> dict:
+
+def run(
+    name: str, ns: Iterable[int], workers: int = 1, pairs: Iterable[str] | None = None
+) -> dict | None:
     """Run check ``name`` over every n in ``ns`` and return its record.
+
+    A catalog check runs on the pairs ``pairs`` (all 58 by default) and
+    returns None when it covers none of them.
 
     >>> record = run("A17-convolution", range(2, 4))
     >>> record["pass"], record["n"], record["mismatch"], record["table"]
     (True, [2, 3], None, None)
+    >>> run("never-both", range(2, 4), pairs=["S19"]) is None
+    True
     """
     check, _ = CHECKS[name]
+    args: tuple = (workers,)
+    if name in VERIFY:
+        if pairs is None:
+            pairs = (p.id for p in catalog.builtin_catalog())
+        pairs = tuple(dict.fromkeys(pairs))
+        covered = VERIFY[name](pairs)
+        if not covered:
+            return None
+        args = (workers, pairs, covered)
     ns = list(ns)
     t0 = time.perf_counter()
-    cells = ((table, [n, *cell]) for n in ns for table, *cell in check(n, workers))
+    cells = ((table, [n, *cell]) for n in ns for table, *cell in check(n, *args))
     table, mismatch = next(((t, c) for t, c in cells if c[-2] != c[-1]), (None, None))
     return {
         "name": name,
         "title": check.__doc__,
         "n": [ns[0], ns[-1]] if ns else [],
-        "pass": mismatch is None,
+        "pass": bool(ns) and mismatch is None,
         "mismatch": mismatch,
         "table": table,
         "seconds": round(time.perf_counter() - t0, 3),

@@ -6,16 +6,22 @@ Subcommands:
 * ``count PERM PATTERN`` -- occurrences of a mesh pattern in a permutation.
 * ``table PAIR N`` -- brute-force joint table of a catalog pair; prints the
   generating polynomial and optionally writes JSON/CSV.
-* ``verify`` -- joint-symmetry, frame-equality and never-both checks over
-  the catalog by brute force.
+* ``verify`` -- the catalog checks over the selected pairs by brute force:
+  joint symmetry of the proven and of the conjectured pairs, never-both
+  for S9..S18, identical tables within each frame.
 * ``crosscheck`` -- every closed form / recurrence against brute force.
 * ``bijection MAP`` -- exhaustive check of one of the explicit maps.
 * ``catalog validate`` -- catalog invariants and derivation-chain closure.
 * ``export`` -- write joint tables for selected pairs to files.
 
+``verify`` and ``crosscheck`` run checks from :mod:`meshperm.checks` and
+print one line per record (``PASS|FAIL  <title> (n=a..b)``, then the first
+mismatching cell and its table) and ``<command>: ok|FAIL``; under
+``--format json``, ``{"n_max", "pass", "checks": [record, ...]}``.
+
 Exit codes: 0 all asserted checks pass; 1 an asserted check failed;
-2 usage or configuration error.  Conjectured pairs (S21, S22) never fail
-the default ``verify``; pass ``--strict`` to opt in.
+2 usage or configuration error.  A failed ``conjectures`` record (S21,
+S22) is reported but fails ``verify`` only under ``--strict``.
 """
 
 from __future__ import annotations
@@ -116,93 +122,20 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-NEVER_BOTH_IDS = {f"S{i}" for i in range(9, 19)}
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    _validated(args)
-    if args.n < 2:
-        raise ValueError(f"verify needs --n >= 2, got {args.n}")
-    selected = _selected_pairs(args.pairs)
-    n_max = args.n
-    ids = [p.id for p in selected]
-    pairs = [(p.q1, p.q2) for p in selected]
-    tables = {
-        n: dist.joint_tables(n, pairs, workers=args.workers) for n in range(2, n_max + 1)
-    }
-
-    reports = []
-    failed = False
-    for idx, pair in enumerate(selected):
-        row = [tables[n][idx] for n in range(2, n_max + 1)]
-        sym_ok = all(dist.is_jointly_symmetric(t) for t in row)
-        verdicts = {"joint_symmetric": sym_ok}
-        if pair.id in NEVER_BOTH_IDS:
-            verdicts["never_both"] = all(
-                k == 0 or l == 0 for t in row for k, l, _ in t.cells()
-            )
-        ok = all(verdicts.values())
-        report = {
-            "pair": pair.id,
-            "frame": pair.frame,
-            "status": pair.status,
-            "n_max": n_max,
-            "checks": verdicts,
-            "pass": ok,
-        }
-        conjectured = pair.status == "conjectured"
-        if conjectured:
-            report["conjecture"] = (
-                f"holds at n<={n_max}" if sym_ok else f"FAILS at n<={n_max}"
-            )
-        if not ok and (args.strict or not conjectured):
-            failed = True
-        reports.append(report)
-
-    by_frame: dict[str, list[int]] = {}
-    for idx, pair in enumerate(selected):
-        by_frame.setdefault(pair.frame, []).append(idx)
-    frame_reports = []
-    for frame, members in sorted(by_frame.items()):
-        if len(members) > 1:
-            equal = all(tables[n][i] == tables[n][members[0]] for n in tables for i in members[1:])
-            frame_reports.append(
-                {"frame": frame, "pairs": [ids[i] for i in members], "equal": equal}
-            )
-            failed = failed or not equal
-
-    payload = {"n_max": n_max, "pairs": reports, "frames": frame_reports}
-    if args.format == "json":
-        _emit(json.dumps(payload, sort_keys=True), args.out)
-    else:
-        lines = []
-        for rep in reports:
-            flags = " ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in rep["checks"].items())
-            extra = f" [{rep['conjecture']}]" if "conjecture" in rep else ""
-            lines.append(f"{rep['pair']:>4} n<={n_max}: {flags}{extra}")
-        for rep in frame_reports:
-            verdict = "ok" if rep["equal"] else "FAIL"
-            lines.append(f"frame {rep['frame']}: identical tables {verdict}")
-        lines.append(f"verify: {'FAIL' if failed else 'ok'} ({len(reports)} pair reports)")
-        _emit("\n".join(lines), args.out)
-    return EXIT_FAIL if failed else EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# crosscheck
+# verify / crosscheck
 # ---------------------------------------------------------------------------
 
 
-def cmd_crosscheck(args: argparse.Namespace) -> int:
-    _validated(args)
-    records = [
-        checks.run(name, span(args.n), args.workers)
-        for name, (_, span) in checks.CHECKS.items()
-    ]
-    ok = all(r["pass"] for r in records)
+def _run_checks(command: str, args: argparse.Namespace, names, pairs=None, nonfatal=()) -> int:
+    """Run the checks ``names`` over the n ranges ``--n`` gives them and
+    print their records, one line each or as JSON, and a verdict that only
+    the checks in ``nonfatal`` cannot fail."""
+    runs = (
+        checks.run(name, checks.CHECKS[name][1](args.n), args.workers, pairs)
+        for name in names
+    )
+    records = [r for r in runs if r is not None]
+    ok = all(r["pass"] or r["name"] in nonfatal for r in records)
     if args.format == "json":
         payload = {"n_max": args.n, "checks": records, "pass": ok}
         _emit(json.dumps(payload, sort_keys=True), args.out)
@@ -215,9 +148,24 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
                 if r["mismatch"] else ""
             )
             lines.append(f"{'PASS' if r['pass'] else 'FAIL'}  {r['title']} ({span}){miss}")
-        lines.append(f"crosscheck: {'ok' if ok else 'FAIL'}")
+        lines.append(f"{command}: {'ok' if ok else 'FAIL'}")
         _emit("\n".join(lines), args.out)
     return EXIT_OK if ok else EXIT_FAIL
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    _validated(args)
+    if args.n < 2:
+        raise ValueError(f"verify needs --n >= 2, got {args.n}")
+    pairs = [p.id for p in _selected_pairs(args.pairs)]
+    # A failed conjecture is reported, and fails verify only under --strict.
+    nonfatal = () if args.strict else ("conjectures",)
+    return _run_checks("verify", args, checks.VERIFY, pairs, nonfatal)
+
+
+def cmd_crosscheck(args: argparse.Namespace) -> int:
+    _validated(args)
+    return _run_checks("crosscheck", args, checks.CROSSCHECK)
 
 
 # ---------------------------------------------------------------------------

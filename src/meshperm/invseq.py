@@ -12,8 +12,6 @@ The distribution of this statistic over all inversion sequences of length n
 coincides, for every k, with the occurrence-count distribution shared by
 the catalog pairs A25..A36 (closed_forms.a25_family_marginal).  Its k = 0
 slice counts the inversion sequences avoiding the vincular pattern 0-11.
-
-Sequences serialize as comma-separated entries, e.g. ``0,1,1``.
 """
 
 from __future__ import annotations
@@ -97,14 +95,3 @@ def count_by_recurrence(n: int, k: int) -> int:
         + count_by_recurrence(n - 2, k)
         - count_by_recurrence(n - 2, k - 1)
     )
-
-
-def format_sequence(entries: InvSeq) -> str:
-    return ",".join(str(e) for e in entries)
-
-
-def parse_sequence(text: str) -> InvSeq:
-    text = text.strip()
-    if not text:
-        return ()
-    return check_inversion_sequence(int(tok) for tok in text.split(","))

@@ -125,25 +125,6 @@ def standardize(values: Sequence[int]) -> Perm:
     return tuple(rank[v] for v in seq)
 
 
-def left_to_right_minima(perm: Perm) -> list[int]:
-    """Positions i (1-based, ascending) where perm[i] beats every earlier entry.
-
-    Position 1 always qualifies for nonempty permutations.
-
-    >>> left_to_right_minima(parse_perm("45123"))
-    [1, 3]
-    >>> left_to_right_minima(parse_perm("54321"))
-    [1, 2, 3, 4, 5]
-    """
-    minima = []
-    best = len(perm) + 1
-    for pos, value in enumerate(perm, start=1):
-        if value < best:
-            minima.append(pos)
-            best = value
-    return minima
-
-
 def format_perm(perm: Perm) -> str:
     """One-line text form: digit run for n <= 9, comma-separated for n >= 10.
 

@@ -11,7 +11,6 @@ to witness is verified by direct counting instead.  See README, "Known
 limitation".
 """
 
-import functools
 import itertools
 import math
 import random
@@ -21,17 +20,6 @@ from math import comb
 from meshperm import bijections as bj, catalog, checks, closed_forms as cf, dist, invseq, mesh, perms
 
 CAT = catalog.builtin_catalog()
-IDS = [p.id for p in CAT]
-PAIRS = [(p.q1, p.q2) for p in CAT]
-
-
-@functools.lru_cache(maxsize=None)
-def tables(n: int) -> tuple[dist.JointTable, ...]:
-    return tuple(dist.joint_tables(n, PAIRS))
-
-
-def table_of(pid: str, n: int) -> dist.JointTable:
-    return tables(n)[IDS.index(pid)]
 
 
 def test_c01_worked_example_fidelity():
@@ -57,31 +45,24 @@ def test_c01_worked_example_fidelity():
 
 def test_c02_joint_symmetry_proven_pairs():
     t0 = time.perf_counter()
+    assert checks.run("symmetric", range(2, 8))["pass"]
+    ids = tuple(p.id for p in CAT)
     for n in range(2, 8):
-        for pid, t in zip(IDS, tables(n)):
-            if catalog.by_id()[pid].status != "proven":
-                continue
-            assert t.total() == math.factorial(n), (pid, n)
-            assert dist.is_jointly_symmetric(t), (pid, n)
+        for pair in CAT:
+            if pair.status == "proven":  # the same sweep the check read
+                assert checks._brute(n, 1, ids)[pair.id].total() == math.factorial(n)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1800
     print(f"criterion 2: PASS (56 proven pairs symmetric for 2<=n<=7, {elapsed:.1f}s)")
 
 
 def test_c03_conjecture_experiment():
-    for pid in ("S21", "S22"):
-        for n in range(2, 8):
-            assert dist.is_jointly_symmetric(table_of(pid, n)), (pid, n)
+    assert checks.run("conjectures", range(2, 8))["pass"]  # S21, S22
     print("criterion 3: PASS (conjecture holds for S21, S22 at n<=7)")
 
 
 def test_c04_frame_equality():
-    for frame, members in catalog.frames().items():
-        base = members[0].id
-        for n in range(2, 7):
-            want = table_of(base, n)
-            for member in members[1:]:
-                assert table_of(member.id, n) == want, (frame, member.id, n)
+    assert checks.run("frames", range(2, 7))["pass"]
     print("criterion 4: PASS (all 22 frames have identical tables for n<=6)")
 
 
@@ -240,8 +221,5 @@ def test_c15_stirling_convolution_identity():
 
 
 def test_invariant_never_both_through_n7():
-    for n in range(2, 8):
-        for pid in [f"S{i}" for i in range(9, 19)]:
-            t = table_of(pid, n)
-            assert all(k == 0 or l == 0 for k, l, _ in t.cells()), (pid, n)
+    assert checks.run("never-both", range(2, 8))["pass"]  # S9..S18
     print("invariant: PASS (S9..S18 never contain both patterns, n<=7)")

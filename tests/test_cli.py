@@ -60,30 +60,42 @@ def test_table_csv_payload(capsys):
     assert out.splitlines()[1:] == ["k,l,count", "0,0,4", "0,1,1", "1,0,1"]
 
 
+def verify_records(capsys, *argv):
+    code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    return code, {r["name"]: r for r in json.loads(out)["checks"]}
+
+
 def test_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--pairs", "all", "--n", "4")
     assert code == 0
-    assert "verify: ok (58 pair reports)" in out
+    assert out.splitlines() == [
+        "PASS  proven pairs: joint table == its transpose (n=2..4)",
+        "PASS  conjectured pairs: joint table == its transpose (n=2..4)",
+        "PASS  S9..S18 never both: T[k][l] == 0 for k, l > 0 (n=2..4)",
+        "PASS  tables within each frame == its first selected member's (n=2..4)",
+        "verify: ok",
+    ]
 
 
 def test_verify_conjecture_report(capsys):
-    code, out, _ = run(capsys, "verify", "--pairs", "S21", "--n", "6")
-    assert code == 0
-    assert "conjecture: holds at n<=6" not in out  # bracketed form below
-    assert "[holds at n<=6]" in out
+    # S21 alone: only the conjecture record, and it holds at n <= 6.
+    code, records = verify_records(capsys, "--pairs", "S21", "--n", "6")
+    assert code == 0 and list(records) == ["conjectures"]
+    assert records["conjectures"]["pass"] and records["conjectures"]["n"] == [2, 6]
 
 
 def test_verify_never_both_line(capsys):
     code, out, _ = run(capsys, "verify", "--pairs", "S9", "--n", "4")
     assert code == 0
-    assert "never_both=ok" in out
+    assert "PASS  S9..S18 never both: T[k][l] == 0 for k, l > 0 (n=2..4)" in out
 
 
 def test_verify_strict_flag(capsys):
     # the conjectured pairs hold experimentally, so strict mode still exits 0
     code, out, _ = run(capsys, "verify", "--pairs", "S21,S22", "--n", "5", "--strict")
     assert code == 0
-    assert out.count("[holds at n<=5]") == 2
+    assert "PASS  conjectured pairs: joint table == its transpose (n=2..5)" in out
+    assert "PASS  tables within each frame == its first selected member's (n=2..5)" in out
 
 
 def test_workers_must_be_positive(capsys):
@@ -102,9 +114,78 @@ def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--pairs", "S19,S20", "--n", "4", "--format", "json")
     assert code == 0
     obj = json.loads(out)
-    assert obj["n_max"] == 4
-    assert [r["pair"] for r in obj["pairs"]] == ["S19", "S20"]
-    assert obj["frames"] == [{"frame": "S19-S20", "pairs": ["S19", "S20"], "equal": True}]
+    assert obj["n_max"] == 4 and obj["pass"] is True
+    # both proven, neither in S9..S18, and one frame: S19-S20
+    assert [r["name"] for r in obj["checks"]] == ["symmetric", "frames"]
+    assert all(r["pass"] and r["n"] == [2, 4] for r in obj["checks"])
+    code, records = verify_records(capsys, "--pairs", "S19", "--n", "4")
+    assert code == 0 and list(records) == ["symmetric"]
+
+
+def corrupt_brute(monkeypatch, pid, n, cell=(1, 0)):
+    """Add 1 to one cell of the swept table of ``pid`` at ``n``."""
+    real = checks._brute
+
+    def corrupt(n_, workers, ids=checks.ANCHORS):
+        tables = real(n_, workers, ids)
+        if n_ != n or pid not in tables:
+            return tables
+        counts = [list(row) for row in tables[pid].counts]
+        counts[cell[0]][cell[1]] += 1
+        return {**tables, pid: dist.JointTable(n, tuple(map(tuple, counts)))}
+
+    monkeypatch.setattr(checks, "_brute", corrupt)
+    return real(n, 1, (pid,))[pid]
+
+
+def test_verify_names_the_asymmetric_cell(capsys, monkeypatch):
+    t = corrupt_brute(monkeypatch, "S10", 5)
+    # The first cell off the diagonal in row-major order is (0, 1): want
+    # is the corrupted T[1][0], got is T[0][1].
+    want = [5, 0, 1, t.entry(1, 0) + 1, t.entry(0, 1)]
+    code, records = verify_records(capsys, "--pairs", "all", "--n", "5")
+    assert code == 1
+    assert records["symmetric"]["pass"] is False
+    assert records["symmetric"]["mismatch"] == want and records["symmetric"]["table"] == "S10"
+    assert records["frames"]["table"] == "S10"  # S10 against S9, its frame's first member
+    assert records["conjectures"]["pass"] and records["never-both"]["pass"]
+    code, out, _ = run(capsys, "verify", "--pairs", "all", "--n", "5")
+    line = next(x for x in out.splitlines() if x.startswith("FAIL  proven pairs"))
+    assert code == 1 and line.endswith(f"first mismatch (n, k, l, want, got) = {want} in S10")
+    assert out.endswith("verify: FAIL\n")
+
+
+def test_verify_names_a_permutation_with_both_patterns(capsys, monkeypatch):
+    corrupt_brute(monkeypatch, "S10", 5, cell=(1, 1))  # symmetric, but k, l > 0
+    code, records = verify_records(capsys, "--pairs", "S10", "--n", "5")
+    assert code == 1 and records["symmetric"]["pass"]
+    assert records["never-both"]["mismatch"] == [5, 1, 1, 0, 1]
+    assert records["never-both"]["table"] == "S10"
+
+
+def test_verify_conjecture_failure_is_fatal_only_under_strict(capsys, monkeypatch):
+    corrupt_brute(monkeypatch, "S21", 5)
+    code, records = verify_records(capsys, "--pairs", "S21", "--n", "5")
+    assert code == 0 and records["conjectures"]["pass"] is False
+    assert records["conjectures"]["table"] == "S21"
+    code, out, _ = run(capsys, "verify", "--pairs", "S21", "--n", "5")
+    assert code == 0 and "FAIL  conjectured pairs" in out and out.endswith("verify: ok\n")
+    code, out, _ = run(capsys, "verify", "--pairs", "S21", "--n", "5", "--strict")
+    assert code == 1 and out.endswith("verify: FAIL\n")
+
+
+def test_verify_sweeps_once_per_n(capsys, monkeypatch):
+    real = dist.joint_tables
+    calls = []
+
+    def counted(n, pairs, workers=1):
+        calls.append(n)
+        return real(n, pairs, workers=workers)
+
+    monkeypatch.setattr(dist, "joint_tables", counted)
+    checks._brute.cache_clear()
+    code, _, _ = run(capsys, "verify", "--pairs", "all", "--n", "5")
+    assert code == 0 and calls == [2, 3, 4, 5]
 
 
 def test_verify_unknown_pair(capsys):
@@ -118,6 +199,29 @@ def test_crosscheck(capsys):
     assert "crosscheck: ok" in out
     assert "FAIL" not in out and out.count("PASS") == 13
     assert "PASS  A17 closed form == brute force (n=2..4)" in out
+
+
+def test_crosscheck_over_no_n_fails(capsys):
+    # At --n 1 nine checks have no n to run over: each is a FAIL, not a PASS.
+    code, out, _ = run(capsys, "crosscheck", "--n", "1", "--format", "json")
+    empty = [r for r in json.loads(out)["checks"] if r["n"] == []]
+    assert code == 1 and len(empty) == 9
+    assert all(r["pass"] is False and r["mismatch"] is None for r in empty)
+    code, out, _ = run(capsys, "crosscheck", "--n", "1")
+    assert code == 1 and out.count("(no n)") == out.count("FAIL  ") == 9
+    assert out.endswith("crosscheck: FAIL\n")
+
+
+def test_verify_and_crosscheck_print_the_same_json_shape(capsys):
+    _, out, _ = run(capsys, "verify", "--pairs", "S19,S20", "--n", "3", "--format", "json")
+    verify = json.loads(out)
+    _, out, _ = run(capsys, "crosscheck", "--n", "3", "--format", "json")
+    crosscheck = json.loads(out)
+    assert verify.keys() == crosscheck.keys() == {"n_max", "pass", "checks"}
+    record_keys = {frozenset(r) for r in verify["checks"] + crosscheck["checks"]}
+    assert record_keys == {
+        frozenset({"name", "title", "n", "pass", "mismatch", "table", "seconds"})
+    }
 
 
 def test_crosscheck_names_the_first_mismatch(capsys, monkeypatch):

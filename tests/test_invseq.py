@@ -67,11 +67,3 @@ def test_counts_match_marginal():
         want = cf.a25_family_marginal(n)
         got = [invseq.count_with_stat(n, k) for k in range(n - 1)]
         assert got == want
-
-
-def test_serialization():
-    assert invseq.format_sequence((0, 1, 1)) == "0,1,1"
-    assert invseq.parse_sequence("0,1,1") == (0, 1, 1)
-    assert invseq.parse_sequence("") == ()
-    with pytest.raises(ValueError):
-        invseq.parse_sequence("1,0")

@@ -11,7 +11,6 @@ from meshperm.perms import (
     enumerate_sn,
     format_perm,
     inverse,
-    left_to_right_minima,
     parse_perm,
     reverse,
     standardize,
@@ -100,13 +99,6 @@ def test_standardize_idempotent():
 def test_standardize_rejects_duplicates():
     with pytest.raises(ValueError, match="distinct"):
         standardize((1, 2, 2))
-
-
-def test_left_to_right_minima():
-    assert left_to_right_minima(parse_perm("45123")) == [1, 3]
-    assert left_to_right_minima(parse_perm("12345")) == [1]
-    assert left_to_right_minima(parse_perm("54321")) == [1, 2, 3, 4, 5]
-    assert left_to_right_minima(()) == []
 
 
 def test_serialization_round_trip():
