@@ -59,6 +59,8 @@ def _selected_pairs(tokens: list[str]) -> list[catalog.PatternPair]:
             if pid not in index:
                 raise ValueError(f"unknown pair id {pid!r}")
             chosen.append(index[pid])
+    if not chosen:
+        raise ValueError("no pair selected")
     return chosen
 
 

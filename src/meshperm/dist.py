@@ -8,11 +8,12 @@ to n!.  The same matrix is the table's generating polynomial, whose
 coefficient of x^k y^l is the (k, l) entry; :meth:`JointTable.render`
 prints it.  Closed forms, recurrences and split tables use this one type.
 
-Every table comes from one sweep over S_n (:func:`_sweep`), which counts
-the occurrences of many patterns in each permutation with the box masks of
-:func:`meshperm.mesh.box_masks`.  The sweep can be partitioned by the first
-entry of the permutation; the partial tallies are summed, as :func:`merge`
-sums whole tables, so results do not depend on the schedule.
+Every table comes from one sweep (:func:`_sweep`), a depth-first walk of
+the prefix tree of S_n, which counts the occurrences of many patterns in
+packed 8-bit fields, so C(n, m) <= 255 for each pattern length m.  The
+sweep is partitioned into first-entry subtrees; the partial tallies are
+summed, as :func:`merge` sums whole tables, so results do not depend on
+the schedule.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ import csv
 import io
 import itertools
 import json
+import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from . import mesh, perms
 from .mesh import MeshPattern
@@ -141,41 +143,77 @@ def marginal(t: JointTable, axis: str = "first") -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _sweep(
-    patterns: Sequence[MeshPattern], pis: Iterable[Perm]
-) -> Iterator[tuple[Perm, list[int]]]:
-    """Yield ``(pi, counts)`` for each permutation, where ``counts[i]`` is
-    the number of occurrences of ``patterns[i]`` in ``pi``.
+class _Fields(dict):
+    """Filled-box mask -> packed int with a 1 in the 8-bit field of each
+    pattern in ``slots``, (bit offset, shading mask), that the mask meets."""
 
-    The box masks of each distinct classical pattern are built once per
-    permutation and shared by every shading on it.
+    def __init__(self, slots: list[tuple[int, int]]):
+        super().__init__()
+        self.slots = slots
+
+    def __missing__(self, filled: int) -> int:
+        packed = self[filled] = sum(1 << at for at, shaded in self.slots if not shaded & filled)
+        return packed
+
+
+def _walk(job) -> Counter:
+    """Count the keys ``cells(pi, counts)`` lists for each pi in S_n with
+    first entry ``first``, counts[i] being the occurrences of patterns[i].
+    A node of the prefix tree carries the partial matches of each tau and
+    the packed counts of the occurrences its prefix completes: the entries
+    to come lie in their last column, so their masks are known at once.
     """
-    taus = list(dict.fromkeys(q.tau for q in patterns))
-    slots = [(taus.index(q.tau), mesh.shading_mask(q)) for q in patterns]
-    for pi in pis:
-        # ~mask: the boxes of an occurrence that hold some entry.
-        filled = [[~mask for _, mask in mesh.box_masks(pi, tau)] for tau in taus]
-        yield pi, [sum(1 for f in filled[t] if not shaded & f) for t, shaded in slots]
+    n, patterns, cells, first = job
+    slots: dict[Perm, list[tuple[int, int]]] = {}
+    for i, q in enumerate(patterns):
+        slots.setdefault(q.tau, []).append((8 * i, mesh.shading_mask(q)))
+    taus = [(mesh.extension_bounds(tau), _Fields(s)) for tau, s in slots.items()]
+    tally, path = Counter(), []
+
+    def grow(v: int, unused: list[int], states: list, total: int) -> None:
+        path.append(v)
+        d = len(path)
+        children = []
+        for (bounds, fields), levels in zip(taus, states):
+            *grown, done = mesh.extend_matches(levels, bounds, (v,), d, n - d)
+            if done:
+                seq = path + unused
+                total += sum(fields[mesh.filled_boxes(seq, pos, vals)] for pos, vals in done)
+            kids = levels[:]  # siblings share every level this entry leaves alone
+            for t, matches in enumerate(grown, 1):
+                if matches:
+                    kids[t] = levels[t] + matches
+            children.append(kids)
+        for i, w in enumerate(unused):
+            grow(w, unused[:i] + unused[i + 1:], children, total)
+        if not unused:
+            tally.update(cells(path, total.to_bytes(len(patterns), "little")))
+        path.pop()
+
+    rest = [w for w in range(1, n + 1) if w != first]
+    grow(first, rest, [[[((), (0, n + 1))]] + [[]] * (len(tau) - 1) for tau in slots], 0)
+    del grow  # it refers to itself: free the subtree's masks now
+    return tally
 
 
-def _perms_with_first(n: int, firsts: Sequence[int]) -> Iterable[Perm]:
-    for first in firsts:
-        rest = [v for v in range(1, n + 1) if v != first]
-        for tail in itertools.permutations(rest):
-            yield (first, *tail)
+def _sweep(n: int, patterns: Sequence[MeshPattern], cells, workers: int) -> Counter:
+    """:func:`_walk` over all of S_n, one job per first entry.  With
+    ``workers`` > 1 the jobs go to a process pool, so ``cells`` must pickle."""
+    perms.check_capacity(n)
+    m = max((q.length for q in patterns), key=lambda m: math.comb(n, m), default=0)
+    if math.comb(n, m) > 255:  # the largest count of a length-m pattern
+        raise ValueError(f"n={n}, m={m}: C(n, m)={math.comb(n, m)} overflows the 8-bit counts")
+    if n == 0:
+        return Counter(cells((), bytes(len(patterns))))
+    jobs = [(n, patterns, cells, first) for first in range(1, n + 1)]
+    if workers <= 1 or n < 2:
+        return sum(map(_walk, jobs), Counter())
+    with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+        return sum(pool.map(_walk, jobs), Counter())
 
 
-def _tally(pairs: Sequence[Pair], pis: Iterable[Perm]) -> list[dict]:
-    tallies: list[dict[tuple[int, int], int]] = [{} for _ in pairs]
-    for _, counts in _sweep([q for pair in pairs for q in pair], pis):
-        for tally, kl in zip(tallies, zip(counts[::2], counts[1::2])):
-            tally[kl] = tally.get(kl, 0) + 1
-    return tallies
-
-
-def _tally_worker(args) -> list[dict]:
-    n, pairs, firsts = args
-    return _tally(pairs, _perms_with_first(n, firsts))
+def _pair_cells(pi, counts: bytes):  # the patterns are listed pair by pair
+    return zip(itertools.count(), counts[0::2], counts[1::2])
 
 
 def joint_tables(
@@ -186,16 +224,10 @@ def joint_tables(
     All pairs share the per-permutation bookkeeping, so verifying the whole
     catalog at one n costs little more than verifying a single pair.
     """
-    perms.check_capacity(n)
-    if n == 0:
-        return [JointTable.from_dict(0, {(0, 0): 1}) for _ in pairs]
-    if workers <= 1 or n < 2:
-        return [JointTable.from_dict(n, t) for t in _tally(pairs, perms.enumerate_sn(n))]
-    jobs = [(n, pairs, [first]) for first in range(1, n + 1)]
-    with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-        parts = list(pool.map(_tally_worker, jobs))
-    # parts[j][i] is pair i's tally over partition j; sum each pair's column.
-    return [JointTable.from_dict(n, sum(map(Counter, col), Counter())) for col in zip(*parts)]
+    tables: list[dict[tuple[int, int], int]] = [{} for _ in pairs]
+    for (i, k, l), c in _sweep(n, [q for pair in pairs for q in pair], _pair_cells, workers).items():
+        tables[i][k, l] = c
+    return [JointTable.from_dict(n, t) for t in tables]
 
 
 def joint_distribution(
@@ -223,11 +255,10 @@ def split_distribution(
     Used to check structural splits (e.g. by sign of the initial step, or by
     the position of the largest entry) against recurrence-built tables.
     """
-    perms.check_capacity(n)
     tallies: dict[Hashable, dict[tuple[int, int], int]] = {}
-    for pi, (k, l) in _sweep((q1, q2), perms.enumerate_sn(n)):
-        bucket = tallies.setdefault(classify(pi), {})
-        bucket[(k, l)] = bucket.get((k, l), 0) + 1
+    split = _sweep(n, (q1, q2), lambda pi, kl: ((classify(tuple(pi)), *kl),), 1)
+    for (key, k, l), c in split.items():
+        tallies.setdefault(key, {})[k, l] = c
     return {key: JointTable.from_dict(n, t) for key, t in sorted(tallies.items(), key=lambda kv: str(kv[0]))}
 
 
@@ -238,18 +269,14 @@ def avoider_count(n: int, q: MeshPattern) -> int:
     >>> avoider_count(2, parse_pattern("123|"))
     2
     """
-    perms.check_capacity(n)
-    return sum(1 for _, (k,) in _sweep((q,), perms.enumerate_sn(n)) if k == 0)
+    return _sweep(n, (q,), lambda pi, counts: counts, 1)[0]
 
 
 def distribution(n: int, q: MeshPattern) -> list[int]:
     """Single-pattern occurrence distribution: entry k counts permutations
     with exactly k occurrences of ``q``."""
-    perms.check_capacity(n)
-    tally: dict[int, int] = {}
-    for _, (k,) in _sweep((q,), perms.enumerate_sn(n)):
-        tally[k] = tally.get(k, 0) + 1
-    return [tally.get(k, 0) for k in range(max(tally, default=0) + 1)]
+    tally = _sweep(n, (q,), lambda pi, counts: counts, 1)
+    return [tally[k] for k in range(max(tally) + 1)]
 
 
 # ---------------------------------------------------------------------------

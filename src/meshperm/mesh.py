@@ -16,12 +16,12 @@ every open position interval between consecutive chosen positions is free
 of chosen entries by construction.
 
 :func:`is_occurrence` checks one position tuple by a direct scan of each
-shaded box; it is the reference semantics.  The occurrence engine is
-:func:`box_masks`: it yields the occurrences of a classical pattern of any
-length, each with a bitmask of its empty boxes, so one call serves every
-shading on that pattern.  :func:`occurrences`, :func:`count_occurrences`,
-:func:`joint_counts` and the S_n sweep in :mod:`meshperm.dist` all rest on
-it.
+shaded box; it is the reference semantics.  The occurrence engine is one
+step, :func:`extend_matches`, which appends entries to a prefix, and
+:func:`filled_boxes`, an occurrence's boxes as one bitmask that serves
+every shading on its pattern.  The S_n sweep in :mod:`meshperm.dist`
+takes the step one entry at a time along the whole prefix tree of S_n;
+:func:`occurrences` takes it once, with all of one permutation.
 
 Pattern text form (used by the catalog file and the CLI):
 ``<tau>|<i1,j1;i2,j2;...>`` with boxes semicolon-separated, e.g.
@@ -209,7 +209,7 @@ def shading_mask(pat: MeshPattern) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _extension_bounds(tau: Perm) -> tuple[tuple[int, int], ...]:
+def extension_bounds(tau: Perm) -> tuple[tuple[int, int], ...]:
     """For each index t of ``tau``, where to find the nearest smaller and the
     nearest larger of the values chosen for tau[:t].
 
@@ -226,57 +226,68 @@ def _extension_bounds(tau: Perm) -> tuple[tuple[int, int], ...]:
     return tuple(bounds)
 
 
-def box_masks(pi: Perm, tau: Perm) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield every occurrence of the classical pattern ``tau`` in ``pi``, in
-    lexicographic order, as ``(positions, mask)``.
+def extend_matches(levels: list, bounds: tuple, run: Sequence[int], d: int, left: int) -> list:
+    """Append the entries ``run`` at positions d, d+1, ... of a permutation,
+    with ``left`` positions after them.
 
-    Bit (m+1)*i + j of the mask is set when box (i, j) of the occurrence is
-    empty, so a mesh pattern on ``tau`` with shading mask S occurs at those
-    positions exactly when ``S & ~mask == 0``.  ``pi`` is not validated;
-    :func:`occurrences` is the checked entry point.
-
-    >>> list(box_masks((2, 3, 1), (1, 2)))
-    [((1, 2), 447)]
+    ``levels[t]`` lists the partial matches of tau[:t] that end before d, as
+    (positions, values), the values led by the sentinels 0 and n+1, so
+    ``levels[0]`` is ``[((), (0, n + 1))]``; an entry extends a match when it
+    lies between the values ``bounds[t]`` points to (:func:`extension_bounds`).
+    Return ``grown``: ``grown[t]`` lists the matches of tau[:t+1] that end in
+    the run and can still complete, ``grown[-1]`` the occurrences; ``levels``
+    is not changed.  Appended all at once to the empty match, as by
+    :func:`occurrences`, a permutation gives every list in lexicographic order.
     """
-    n = len(pi)
-    m = len(tau)
-    # Partial matches grow one index of tau at a time; a position extends
-    # one when its value lies between the nearest chosen values below and
-    # above it in tau.  pos carries a leading 0, vals the two sentinels.
-    partial = [((0,), (0, n + 1))]
-    for t, (lo, hi) in enumerate(_extension_bounds(tau)):
-        grown = []
-        for pos, vals in partial:
-            a, b = vals[lo], vals[hi]
-            for p in range(pos[-1] + 1, n - m + t + 2):
-                v = pi[p - 1]
-                if a < v < b:
-                    grown.append((pos + (p,), vals + (v,)))
-        partial = grown
-    side = m + 1
-    full = (1 << side * side) - 1
-    # Each mask is built only when asked for, so a caller that stops at the
-    # first occurrence pays for one walk of pi.
-    for pos, vals in partial:
-        chosen = sorted(vals[2:])
-        at = set(pos)
-        taken = base = 0
-        # One walk of pi: each chosen position starts the next box column,
-        # every other entry marks its box as taken.
-        for p, v in enumerate(pi, 1):
-            if p in at:
-                base += side
-            else:
-                taken |= 1 << base + bisect_left(chosen, v)
-        yield pos[1:], full ^ taken
+    m = len(bounds)
+    grown = [[]] * (m - len(run) - left)  # too short to complete
+    for t in range(len(grown), m):
+        lo, hi = bounds[t]
+        if len(run) == 1:  # the prefix tree's step, kept lean
+            v = run[0]
+            grown.append([(pos + (d,), vals + (v,))
+                          for pos, vals in levels[t] if vals[lo] < v < vals[hi]])
+            continue
+        stop = len(run) + min(left - m + t + 1, 0)  # the entries a match may end at
+        new = [(pos + (d + i,), vals + (v,)) for i, v in enumerate(run[:stop])
+               for pos, vals in levels[t] if vals[lo] < v < vals[hi]] if levels[t] else []
+        if t:  # the matches the run has grown grow on within it
+            new += [(pos + (p,), vals + (v,))
+                    for pos, vals in grown[-1] for a, b in [(vals[lo], vals[hi])]
+                    for p in range(pos[-1] + 1, d + stop) if a < (v := run[p - d]) < b]
+        grown.append(new)
+    return grown
+
+
+def filled_boxes(seq: Sequence[int], positions: tuple[int, ...], values: tuple[int, ...]) -> int:
+    """Bit (m+1)*i + j is set when box (i, j) of the occurrence at
+    ``positions`` holds an entry of ``seq``, the permutation in order; the
+    entries after the last chosen position may come in any order.
+
+    >>> filled_boxes((2, 3, 1), (1, 2), (0, 4, 2, 3))
+    64
+    """
+    chosen = sorted(values[2:])
+    side = len(positions) + 1
+    at = set(positions)
+    taken = base = 0
+    for p, v in enumerate(seq, 1):
+        if p in at:
+            base += side
+        else:
+            taken |= 1 << base + bisect_left(chosen, v)
+    return taken
 
 
 def occurrences(pi: Perm, pat: MeshPattern) -> Iterator[tuple[int, ...]]:
-    """Yield the position tuples of all occurrences, in lexicographic order."""
-    perms.as_perm(pi)
+    """Yield the position tuples of all occurrences, in lexicographic order;
+    each mask is built only when its occurrence is reached."""
+    pi = perms.as_perm(pi)
+    bounds = extension_bounds(pat.tau)
+    levels = [[((), (0, len(pi) + 1))]] + [[]] * (len(bounds) - 1)
     shaded = shading_mask(pat)
-    for pos, mask in box_masks(pi, pat.tau):
-        if shaded & ~mask == 0:
+    for pos, vals in extend_matches(levels, bounds, pi, 1, 0)[-1]:
+        if not shaded & filled_boxes(pi, pos, vals):
             yield pos
 
 

@@ -29,8 +29,8 @@ class CapacityError(ValueError):
 def max_n() -> int:
     """Current enumeration ceiling (default 10, overridable via MESHPERM_NMAX).
 
-    Counts are exact Python ints, so no ceiling can overflow them; the limit
-    only keeps brute-force runs within a desk-scale time budget.
+    The limit keeps brute-force runs within a desk-scale time budget; the
+    sweep in :mod:`meshperm.dist` also needs C(n, m) <= 255 (m: length).
     """
     raw = os.environ.get(_NMAX_ENV)
     if raw is None:

@@ -201,6 +201,19 @@ def test_crosscheck(capsys):
     assert "PASS  A17 closed form == brute force (n=2..4)" in out
 
 
+def test_crosscheck_records_do_not_depend_on_workers(capsys):
+    records = {}
+    for workers in (1, 2):
+        checks._brute.cache_clear()
+        code, out, _ = run(capsys, "crosscheck", "--n", "6", "--format", "json",
+                           "--workers", str(workers))
+        assert code == 0
+        records[workers] = json.loads(out)["checks"]
+        for r in records[workers]:
+            del r["seconds"]
+    assert records[1] == records[2]
+
+
 def test_crosscheck_over_no_n_fails(capsys):
     # At --n 1 nine checks have no n to run over: each is a FAIL, not a PASS.
     code, out, _ = run(capsys, "crosscheck", "--n", "1", "--format", "json")
@@ -301,6 +314,18 @@ def test_export_files(capsys, tmp_path):
     assert code == 0
     assert (tmp_path / "S19_n3.csv").exists()
     assert (tmp_path / "A17_n3.csv").read_text().startswith("k,l,count\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_an_empty_pair_selection_is_a_usage_error(command, capsys):
+    code, out, err = run(capsys, command, "--pairs", ",", "--n", "3")
+    assert code == 2 and out == "" and "no pair selected" in err
+
+
+def test_export_beyond_the_8_bit_counts_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("MESHPERM_NMAX", "13")
+    code, out, err = run(capsys, "export", "--n", "13")
+    assert code == 2 and out == "" and "n=13, m=3: C(n, m)=286" in err
 
 
 def test_capacity_env(capsys, monkeypatch):

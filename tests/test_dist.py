@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -189,6 +190,71 @@ def test_sweep_matches_reference_scan_on_catalog_sample():
     pairs = [(p.q1, p.q2) for p in catalog.builtin_catalog()[::7]]
     for n in (2, 4, 5):
         assert_sweep_matches_reference(n, pairs)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_boxes(pi, tau):
+    """Each classical occurrence of tau in pi, with a mask of its empty
+    boxes: bit (m+1)*i + j when the reference scan finds box (i, j) empty."""
+    side = len(tau) + 1
+    return [
+        (pos, sum(
+            1 << side * i + j
+            for i, j in itertools.product(range(side), repeat=2)
+            if mesh.is_occurrence(pi, pos, mesh.pattern(tau, [(i, j)]), table=None)
+        ))
+        for pos in reference_positions(pi, mesh.pattern(tau, ()))
+    ]
+
+
+def reference_tables(n, pairs):
+    """Joint tables by the reference scan, one box at a time."""
+    tallies = [{} for _ in pairs]
+    slots = [(q.tau, mesh.shading_mask(q)) for pair in pairs for q in pair]
+    for pi in perms.enumerate_sn(n):
+        counts = [
+            sum(not shaded & ~empty for _, empty in reference_boxes(pi, tau))
+            for tau, shaded in slots
+        ]
+        for tally, kl in zip(tallies, zip(counts[::2], counts[1::2])):
+            tally[kl] = tally.get(kl, 0) + 1
+    return [JointTable.from_dict(n, t) for t in tallies]
+
+
+def test_sweeps_carry_no_packed_counts_between_calls():
+    # The same taus and field layout three times in one process: a cache of
+    # packed counts keyed on the box mask alone would leak from one pattern
+    # set into the next.
+    rng = random.Random(7)
+    cat = [(p.q1, p.q2) for p in catalog.builtin_catalog()]
+    boxes = [(i, j) for i in range(4) for j in range(4)]
+    shaded = [
+        tuple(mesh.pattern(q.tau, rng.sample(boxes, rng.randint(0, 16))) for q in pair)
+        for pair in cat
+    ]
+    for n, pairs in ((6, cat), (6, shaded), (5, cat)):
+        assert joint_tables(n, pairs) == reference_tables(n, pairs), n
+
+
+def test_counts_beyond_8_bits_are_refused_before_sweeping(monkeypatch):
+    def walk(job):
+        raise AssertionError("swept")
+
+    monkeypatch.setenv("MESHPERM_NMAX", "13")
+    monkeypatch.setattr(dist, "_walk", walk)
+    q1, q2 = pair("A17").q1, pair("A17").q2
+    sweeps = [
+        lambda: joint_tables(13, [(q1, q2)]),
+        lambda: split_distribution(13, q1, q2, tuple),
+        lambda: distribution(13, q1),
+        lambda: avoider_count(13, q2),
+    ]
+    for sweep in sweeps:
+        with pytest.raises(ValueError, match=r"n=13, m=3: C\(n, m\)=286"):
+            sweep()
+    # C(12, 3) = 220 fits: the sweep starts.
+    with pytest.raises(AssertionError, match="swept"):
+        joint_tables(12, [(q1, q2)])
 
 
 def test_json_export_is_stable():
