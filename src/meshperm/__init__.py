@@ -13,7 +13,6 @@ from .catalog import builtin_catalog, get_pair, load_catalog, validate_derivatio
 from .dist import (
     JointTable,
     avoider_count,
-    is_jointly_symmetric,
     joint_distribution,
     joint_tables,
     marginal,
@@ -56,7 +55,6 @@ __all__ = [
     "get_pair",
     "inverse",
     "inverse_pattern",
-    "is_jointly_symmetric",
     "is_occurrence",
     "joint_counts",
     "joint_distribution",

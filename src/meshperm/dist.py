@@ -11,9 +11,10 @@ prints it.  Closed forms, recurrences and split tables use this one type.
 Every table comes from one sweep (:func:`_sweep`), a depth-first walk of
 the prefix tree of S_n, which counts the occurrences of many patterns in
 packed 8-bit fields, so C(n, m) <= 255 for each pattern length m.  The
-sweep is partitioned into first-entry subtrees; the partial tallies are
-summed, as :func:`merge` sums whole tables, so results do not depend on
-the schedule.
+sweep is ceil(n/2) jobs, each a first-entry subtree that also counts the
+complements of the patterns, and so stands for its complementary subtree
+too; the partial tallies are summed, as :func:`merge` sums whole tables,
+so results do not depend on the schedule.
 """
 
 from __future__ import annotations
@@ -120,14 +121,6 @@ def merge(t1: JointTable, t2: JointTable) -> JointTable:
     return JointTable.from_dict(t1.n, acc)
 
 
-def is_jointly_symmetric(t: JointTable) -> bool:
-    """True when the table equals its transpose (missing entries read 0)."""
-    dim = max(len(t.counts), max(len(row) for row in t.counts))
-    return all(
-        t.entry(k, l) == t.entry(l, k) for k in range(dim) for l in range(dim)
-    )
-
-
 def marginal(t: JointTable, axis: str = "first") -> list[int]:
     """Row sums (axis="first", over l) or column sums (axis="second")."""
     if axis == "first":
@@ -162,8 +155,13 @@ def _walk(job) -> Counter:
     A node of the prefix tree carries the partial matches of each tau and
     the packed counts of the occurrences its prefix completes: the entries
     to come lie in their last column, so their masks are known at once.
+    With ``mirror`` it also counts the complements of the patterns and
+    reports c(pi) too, under n + 1 - first: q occurs in c(pi) as c(q) in pi.
     """
-    n, patterns, cells, first = job
+    n, patterns, cells, first, mirror = job
+    p = len(patterns)
+    if mirror:
+        patterns = [*patterns, *map(mesh.complement_pattern, patterns)]
     slots: dict[Perm, list[tuple[int, int]]] = {}
     for i, q in enumerate(patterns):
         slots.setdefault(q.tau, []).append((8 * i, mesh.shading_mask(q)))
@@ -187,7 +185,10 @@ def _walk(job) -> Counter:
         for i, w in enumerate(unused):
             grow(w, unused[:i] + unused[i + 1:], children, total)
         if not unused:
-            tally.update(cells(path, total.to_bytes(len(patterns), "little")))
+            counts = total.to_bytes(len(patterns), "little")
+            tally.update(cells(path, counts[:p]))
+            if mirror:
+                tally.update(cells([n + 1 - w for w in path], counts[p:]))
         path.pop()
 
     rest = [w for w in range(1, n + 1) if w != first]
@@ -197,7 +198,8 @@ def _walk(job) -> Counter:
 
 
 def _sweep(n: int, patterns: Sequence[MeshPattern], cells, workers: int) -> Counter:
-    """:func:`_walk` over all of S_n, one job per first entry.  With
+    """:func:`_walk` over all of S_n: each first entry f <= n/2 mirrored onto
+    n + 1 - f, and for odd n the middle one, its own complement, alone.  With
     ``workers`` > 1 the jobs go to a process pool, so ``cells`` must pickle."""
     perms.check_capacity(n)
     m = max((q.length for q in patterns), key=lambda m: math.comb(n, m), default=0)
@@ -205,10 +207,10 @@ def _sweep(n: int, patterns: Sequence[MeshPattern], cells, workers: int) -> Coun
         raise ValueError(f"n={n}, m={m}: C(n, m)={math.comb(n, m)} overflows the 8-bit counts")
     if n == 0:
         return Counter(cells((), bytes(len(patterns))))
-    jobs = [(n, patterns, cells, first) for first in range(1, n + 1)]
-    if workers <= 1 or n < 2:
+    jobs = [(n, patterns, cells, first, 2 * first <= n) for first in range(1, (n + 3) // 2)]
+    if workers <= 1 or len(jobs) < 2:
         return sum(map(_walk, jobs), Counter())
-    with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return sum(pool.map(_walk, jobs), Counter())
 
 

@@ -6,12 +6,11 @@ import random
 
 import pytest
 
-from meshperm import catalog, dist, mesh, perms
+from meshperm import catalog, checks, dist, mesh, perms
 from meshperm.dist import (
     JointTable,
     avoider_count,
     distribution,
-    is_jointly_symmetric,
     joint_distribution,
     joint_tables,
     marginal,
@@ -56,9 +55,15 @@ def test_conservation_all_pairs_small_n():
 
 
 def test_joint_symmetry_checker():
-    assert is_jointly_symmetric(table("S19", 5))
-    assert is_jointly_symmetric(table("A17", 6))
-    assert not is_jointly_symmetric(JointTable(2, ((0, 1), (0, 0))))
+    tables = {"S19": table("S19", 5), "A17": table("A17", 6),
+              "skew": JointTable(2, ((0, 1), (0, 0)))}
+
+    def asymmetric(pid):
+        return [cell for cell in checks._transposes([pid], tables) if cell[3] != cell[4]]
+
+    assert asymmetric("S19") == []
+    assert asymmetric("A17") == []
+    assert asymmetric("skew") == [("skew", 0, 1, 0, 1), ("skew", 1, 0, 1, 0)]
 
 
 def test_marginal_examples():
@@ -118,13 +123,53 @@ def test_workers_match_single_threaded():
     assert seq == par
 
 
-def test_catalog_tables_do_not_depend_on_workers():
-    # The pool path sums the per-partition tallies of every pair.
+def test_catalog_tables_do_not_depend_on_workers(monkeypatch):
+    # The pool path sums the per-partition tallies of every pair.  At n = 7
+    # the middle subtree is walked alone; 5 workers outnumber the jobs, and
+    # the pool starts no more processes than there are jobs.
+    sizes = []
+
+    class Pool(dist.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(dist, "ProcessPoolExecutor", Pool)
     pairs = [(p.q1, p.q2) for p in catalog.builtin_catalog()]
-    serial = joint_tables(6, pairs, workers=1)
-    assert len(serial) == 58
-    for workers in (2, 3):
-        assert joint_tables(6, pairs, workers=workers) == serial, workers
+    for n in (6, 7):
+        serial = joint_tables(n, pairs, workers=1)
+        assert len(serial) == 58
+        for workers in (2, 3, 5):
+            assert joint_tables(n, pairs, workers=workers) == serial, (n, workers)
+    assert sizes == [2, 3, 3, 2, 3, 4]
+
+
+def test_sweep_walks_one_subtree_of_each_complementary_pair(monkeypatch):
+    walk, jobs = dist._walk, []
+    monkeypatch.setattr(dist, "_walk", lambda job: jobs.append(job) or walk(job))
+    p = pair("A17")
+    for n in range(1, 9):
+        jobs.clear()
+        assert table("A17", n).total() == math.factorial(n)
+        assert [first for _, _, _, first, _ in jobs] == list(range(1, (n + 1) // 2 + 1)), n
+        alone = [first for *_, first, mirror in jobs if not mirror]
+        assert alone == ([(n + 1) // 2] if n % 2 else []), n
+        assert all(list(patterns) == [p.q1, p.q2] for _, patterns, *_ in jobs)
+
+
+def test_first_entry_split_at_odd_n():
+    # Classes 5..7 come from mirrored leaves, class 4 from the middle
+    # subtree alone; each must match the engine run on pi itself.
+    p, n = pair("A17"), 7
+    parts = split_distribution(n, p.q1, p.q2, lambda pi: pi[0])
+    assert list(parts) == list(range(1, n + 1))
+    assert all(t.total() == math.factorial(n - 1) for t in parts.values())
+    assert functools.reduce(merge, parts.values()) == table("A17", n)
+    want = {first: {} for first in range(1, n + 1)}
+    for pi in perms.enumerate_sn(n):
+        kl = mesh.count_occurrences(pi, p.q1), mesh.count_occurrences(pi, p.q2)
+        want[pi[0]][kl] = want[pi[0]].get(kl, 0) + 1
+    assert parts == {first: JointTable.from_dict(n, t) for first, t in want.items()}
 
 
 def reference_positions(pi, q):
