@@ -39,19 +39,6 @@ class StructureError(AssertionError):
     """A structural claim the map relies on failed; signals a misreading."""
 
 
-def apply_symmetry_map(pi: Perm, kind: str) -> Perm:
-    """The global maps usable when a pair is closed under c or r.
-
-    >>> apply_symmetry_map((2, 1), "complement")
-    (1, 2)
-    """
-    if kind == "complement":
-        return perms.complement(pi)
-    if kind == "reverse":
-        return perms.reverse(pi)
-    raise ValueError(f"unknown symmetry kind {kind!r}")
-
-
 def map_s9(pi: Perm) -> Perm:
     """Exchange the value prefixes 1,2,3 and 3,2,1; identity otherwise.
 
@@ -149,7 +136,7 @@ def iterated_swap(
     cur = list(pi)
     steps = 0
     while True:
-        occ = next(mesh.occurrences(tuple(cur), q2), None)
+        occ = min(mesh.occurrences(tuple(cur), q2), default=None)
         if occ is None:
             return tuple(cur), steps
         steps += 1
@@ -175,61 +162,35 @@ def map_s21(pi: Perm, q1: MeshPattern, q2: MeshPattern) -> Perm:
     return iterated_swap(pi, q1, q2)[0]
 
 
-@dataclass(frozen=True)
-class BijectionSpec:
-    """A named map, its mechanism, and the catalog pair it serves."""
-
-    id: str
-    kind: str
-    pair_id: str
-
-
-# Maps with a dedicated pair.  S10/S12/S14/S16/S18 have no direct map: they
-# are handled through the derivation chains and table equality instead.
-DIRECT_MAPS: dict[str, BijectionSpec] = {
-    "S9": BijectionSpec("S9", "swap_prefix", "S9"),
-    "S11": BijectionSpec("S11", "swap_ends", "S11"),
-    "S13": BijectionSpec("S13", "swap_ends", "S13"),
-    "S15": BijectionSpec("S15", "swap_ends", "S15"),
-    "S17": BijectionSpec("S17", "swap_first_with_t", "S17"),
-    "S21": BijectionSpec("S21", "iterated_swap", "S21"),
+# Each map as a function of (pi, q1, q2).  S10/S12/S14/S16/S18 have no direct
+# map: they are handled through the derivation chains and table equality
+# instead.  A pair proved by a single global symmetry of the square names
+# that symmetry, checked on its own pair.
+MAPS: dict[str, Callable[[Perm, MeshPattern, MeshPattern], Perm]] = {
+    "S9": lambda pi, q1, q2: map_s9(pi),
+    "S11": lambda pi, q1, q2: map_s11(pi),
+    "S13": lambda pi, q1, q2: map_s13(pi),
+    "S15": lambda pi, q1, q2: map_s13(pi),
+    "S17": map_s17,
+    "S21": map_s21,
+    "complement": lambda pi, q1, q2: perms.complement(pi),
+    "reverse": lambda pi, q1, q2: perms.reverse(pi),
 }
-
-# Pairs proved by a single global symmetry of the square.
-for _pid, _op in catalog.INTERNAL_SYMMETRY.items():
-    DIRECT_MAPS[_pid] = BijectionSpec(
-        _pid, "complement" if _op == "c" else "reverse", _pid
-    )
+MAPS.update((pid, MAPS["complement" if op == "c" else "reverse"])
+            for pid, op in catalog.INTERNAL_SYMMETRY.items())
 
 
-def resolve_map(
-    map_id: str, pair: PatternPair | None = None
-) -> tuple[BijectionSpec, Callable[[Perm], Perm], PatternPair]:
-    """Look up a map by id ('S9', ..., 'complement', 'reverse')."""
-    map_id = map_id.upper() if map_id.upper() in DIRECT_MAPS else map_id.lower()
-    if map_id in ("complement", "reverse"):
-        if pair is None:
-            raise ValueError(f"map {map_id!r} needs an explicit pair")
-        spec = BijectionSpec(map_id, map_id, pair.id)
-        return spec, lambda pi: apply_symmetry_map(pi, map_id), pair
-    if map_id not in DIRECT_MAPS:
+def resolve_map(map_id: str, pair: PatternPair | None = None) -> tuple[str, PatternPair]:
+    """The canonical id of a map ('S9', ..., 'complement', 'reverse') and the
+    pair it is checked on: ``pair``, or by default the pair of the same id."""
+    map_id = map_id.upper() if map_id.upper() in MAPS else map_id.lower()
+    if map_id not in MAPS:
         raise KeyError(f"unknown map {map_id!r}")
-    spec = DIRECT_MAPS[map_id]
     if pair is None:
-        pair = catalog.get_pair(spec.pair_id)
-    q1, q2 = pair.q1, pair.q2
-    fn: Callable[[Perm], Perm]
-    if spec.kind == "swap_prefix":
-        fn = map_s9
-    elif spec.kind == "swap_ends":
-        fn = map_s11 if spec.id == "S11" else map_s13
-    elif spec.kind == "swap_first_with_t":
-        fn = lambda pi: map_s17(pi, q1, q2)
-    elif spec.kind == "iterated_swap":
-        fn = lambda pi: map_s21(pi, q1, q2)
-    else:
-        fn = lambda pi: apply_symmetry_map(pi, spec.kind)
-    return spec, fn, pair
+        if map_id in ("complement", "reverse"):
+            raise ValueError(f"map {map_id!r} needs an explicit pair")
+        pair = catalog.get_pair(map_id)
+    return map_id, pair
 
 
 @dataclass(frozen=True)
@@ -254,12 +215,15 @@ class BijectionReport:
 
 
 def _verify_swapper(
-    fn: Callable[[Perm], Perm], n: int, q1: MeshPattern, q2: MeshPattern
+    fn: Callable[[Perm, MeshPattern, MeshPattern], Perm],
+    n: int,
+    q1: MeshPattern,
+    q2: MeshPattern,
 ) -> tuple[bool, str | None, dict]:
     fixed = 0
     for pi in perms.enumerate_sn(n):
-        sigma = fn(pi)
-        if fn(sigma) != pi:
+        sigma = fn(pi, q1, q2)
+        if fn(sigma, q1, q2) != pi:
             return False, f"not an involution at {perms.format_perm(pi)}", {}
         k, l = mesh.joint_counts(pi, q1, q2)
         k2, l2 = mesh.joint_counts(sigma, q1, q2)
@@ -328,11 +292,11 @@ def verify_swap_bijection(
     in enumeration order that share an image, and that image.
     """
     perms.check_capacity(n)
-    spec, fn, pair = resolve_map(map_id, pair)
-    if spec.kind == "iterated_swap":
+    map_id, pair = resolve_map(map_id, pair)
+    if map_id == "S21":
         ok, bad, stats = _verify_wilf(n, pair.q1, pair.q2)
     else:
-        ok, bad, stats = _verify_swapper(fn, n, pair.q1, pair.q2)
+        ok, bad, stats = _verify_swapper(MAPS[map_id], n, pair.q1, pair.q2)
     return BijectionReport(
-        map=spec.id, pair=pair.id, n=n, passed=ok, counterexample=bad, stats=stats
+        map=map_id, pair=pair.id, n=n, passed=ok, counterexample=bad, stats=stats
     )

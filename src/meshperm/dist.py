@@ -173,14 +173,10 @@ def _walk(job) -> Counter:
         d = len(path)
         children = []
         for (bounds, fields), levels in zip(taus, states):
-            *grown, done = mesh.extend_matches(levels, bounds, (v,), d, n - d)
+            kids, done = mesh.extend_matches(levels, bounds, v, d, n - d)
             if done:
                 seq = path + unused
                 total += sum(fields[mesh.filled_boxes(seq, pos, vals)] for pos, vals in done)
-            kids = levels[:]  # siblings share every level this entry leaves alone
-            for t, matches in enumerate(grown, 1):
-                if matches:
-                    kids[t] = levels[t] + matches
             children.append(kids)
         for i, w in enumerate(unused):
             grow(w, unused[:i] + unused[i + 1:], children, total)

@@ -84,11 +84,7 @@ def count_by_recurrence(n: int, k: int) -> int:
     if n <= 3:
         if n < 0:
             raise ValueError("n must be nonnegative")
-        return sum(
-            1
-            for e in itertools.product(*(range(i) for i in range(1, n + 1)))
-            if sum(1 for a, b in zip(e, e[1:]) if a == b != 0) == k
-        )
+        return count_with_stat(n, k)
     return (
         (n - 1) * count_by_recurrence(n - 1, k)
         + count_by_recurrence(n - 1, k - 1)

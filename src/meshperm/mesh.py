@@ -17,11 +17,11 @@ of chosen entries by construction.
 
 :func:`is_occurrence` checks one position tuple by a direct scan of each
 shaded box; it is the reference semantics.  The occurrence engine is one
-step, :func:`extend_matches`, which appends entries to a prefix, and
+step, :func:`extend_matches`, which appends one entry to a prefix, and
 :func:`filled_boxes`, an occurrence's boxes as one bitmask that serves
 every shading on its pattern.  The S_n sweep in :mod:`meshperm.dist`
-takes the step one entry at a time along the whole prefix tree of S_n;
-:func:`occurrences` takes it once, with all of one permutation.
+takes the step at every node of the prefix tree of S_n;
+:func:`occurrences` takes it at every position of one permutation.
 
 Pattern text form (used by the catalog file and the CLI):
 ``<tau>|<i1,j1;i2,j2;...>`` with boxes semicolon-separated, e.g.
@@ -226,37 +226,29 @@ def extension_bounds(tau: Perm) -> tuple[tuple[int, int], ...]:
     return tuple(bounds)
 
 
-def extend_matches(levels: list, bounds: tuple, run: Sequence[int], d: int, left: int) -> list:
-    """Append the entries ``run`` at positions d, d+1, ... of a permutation,
-    with ``left`` positions after them.
+def extend_matches(levels: list, bounds: tuple, v: int, d: int, left: int) -> tuple[list, list]:
+    """Append the entry ``v`` at position d of a permutation, with ``left``
+    positions after it.
 
     ``levels[t]`` lists the partial matches of tau[:t] that end before d, as
     (positions, values), the values led by the sentinels 0 and n+1, so
-    ``levels[0]`` is ``[((), (0, n + 1))]``; an entry extends a match when it
-    lies between the values ``bounds[t]`` points to (:func:`extension_bounds`).
-    Return ``grown``: ``grown[t]`` lists the matches of tau[:t+1] that end in
-    the run and can still complete, ``grown[-1]`` the occurrences; ``levels``
-    is not changed.  Appended all at once to the empty match, as by
-    :func:`occurrences`, a permutation gives every list in lexicographic order.
+    ``levels[0]`` is ``[((), (0, n + 1))]``; the entry extends a match when
+    it lies between the values ``bounds[t]`` points to
+    (:func:`extension_bounds`), and only matches that can still complete are
+    grown.  Return the levels after d and the occurrences that end at d.
+    ``levels`` is not changed, and the new levels share every list the entry
+    leaves alone.  Each list is in colexicographic order: by last position,
+    then the one before, and so on.
     """
     m = len(bounds)
-    grown = [[]] * (m - len(run) - left)  # too short to complete
-    for t in range(len(grown), m):
+    after = [*levels, []]
+    for t in range(max(m - 1 - left, 0), m):
         lo, hi = bounds[t]
-        if len(run) == 1:  # the prefix tree's step, kept lean
-            v = run[0]
-            grown.append([(pos + (d,), vals + (v,))
-                          for pos, vals in levels[t] if vals[lo] < v < vals[hi]])
-            continue
-        stop = len(run) + min(left - m + t + 1, 0)  # the entries a match may end at
-        new = [(pos + (d + i,), vals + (v,)) for i, v in enumerate(run[:stop])
-               for pos, vals in levels[t] if vals[lo] < v < vals[hi]] if levels[t] else []
-        if t:  # the matches the run has grown grow on within it
-            new += [(pos + (p,), vals + (v,))
-                    for pos, vals in grown[-1] for a, b in [(vals[lo], vals[hi])]
-                    for p in range(pos[-1] + 1, d + stop) if a < (v := run[p - d]) < b]
-        grown.append(new)
-    return grown
+        grown = [(pos + (d,), vals + (v,)) for pos, vals in levels[t] if vals[lo] < v < vals[hi]]
+        if grown:
+            after[t + 1] = after[t + 1] + grown
+    done = after.pop()
+    return after, done
 
 
 def filled_boxes(seq: Sequence[int], positions: tuple[int, ...], values: tuple[int, ...]) -> int:
@@ -280,15 +272,22 @@ def filled_boxes(seq: Sequence[int], positions: tuple[int, ...], values: tuple[i
 
 
 def occurrences(pi: Perm, pat: MeshPattern) -> Iterator[tuple[int, ...]]:
-    """Yield the position tuples of all occurrences, in lexicographic order;
-    each mask is built only when its occurrence is reached."""
+    """Yield the position tuples of all occurrences in colexicographic order,
+    each as soon as the walk along ``pi`` reaches its last entry.
+
+    >>> list(occurrences((1, 2, 3, 4), parse_pattern("12|")))
+    [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
+    """
     pi = perms.as_perm(pi)
+    n = len(pi)
     bounds = extension_bounds(pat.tau)
-    levels = [[((), (0, len(pi) + 1))]] + [[]] * (len(bounds) - 1)
+    levels = [[((), (0, n + 1))]] + [[]] * (len(bounds) - 1)
     shaded = shading_mask(pat)
-    for pos, vals in extend_matches(levels, bounds, pi, 1, 0)[-1]:
-        if not shaded & filled_boxes(pi, pos, vals):
-            yield pos
+    for d, v in enumerate(pi, 1):
+        levels, done = extend_matches(levels, bounds, v, d, n - d)
+        for pos, vals in done:
+            if not shaded & filled_boxes(pi, pos, vals):
+                yield pos
 
 
 def count_occurrences(pi: Perm, pat: MeshPattern) -> int:

@@ -1,13 +1,8 @@
+import itertools
+
 import pytest
 
 from meshperm import bijections as bj, catalog, mesh, perms
-
-
-def test_apply_symmetry_map():
-    assert bj.apply_symmetry_map((2, 1), "complement") == (1, 2)
-    assert bj.apply_symmetry_map((1, 3, 2), "reverse") == (2, 3, 1)
-    with pytest.raises(ValueError):
-        bj.apply_symmetry_map((1,), "rotate")
 
 
 def test_map_s9_rules():
@@ -70,6 +65,24 @@ def test_map_s21_examples():
         q2_free = mesh.count_occurrences(pi, pair.q2) == 0
         if q1_free and q2_free:
             assert bj.map_s21(pi, pair.q1, pair.q2) == pi
+
+
+def test_iterated_swap_takes_the_lexicographically_first_occurrence():
+    # mesh.occurrences yields in colexicographic order, so the swap must not
+    # take its first occurrence.  S21's patterns cannot tell the two orders
+    # apart; the classical 123 can.  q1 is longer than pi, so all avoid it.
+    q1, q2 = mesh.parse_pattern("123456|"), mesh.parse_pattern("123|")
+    triples = list(itertools.combinations(range(1, 6), 3))
+    orders_differ = 0
+    for pi in perms.enumerate_sn(5):
+        cur, steps = list(pi), 0
+        while occ := [t for t in triples if mesh.is_occurrence(tuple(cur), t, q2, table=None)]:
+            orders_differ += occ[0] != min(occ, key=lambda t: t[::-1])
+            i1, _, i3 = occ[0]
+            cur[i1 - 1], cur[i3 - 1] = cur[i3 - 1], cur[i1 - 1]
+            steps += 1
+        assert bj.iterated_swap(pi, q1, q2) == (tuple(cur), steps), pi
+    assert orders_differ
 
 
 def test_map_s21_domain_error():

@@ -219,8 +219,23 @@ def test_occurrences_match_reference_scan():
         q = random_pattern(rng)
         for n in range(7):
             pi = tuple(rng.sample(range(1, n + 1), n))
-            want = reference_positions(pi, q)
+            want = sorted(reference_positions(pi, q), key=lambda pos: pos[::-1])
             assert list(mesh.occurrences(pi, q)) == want, (pi, str(q), want)
+
+
+def test_first_occurrence_needs_only_its_prefix(monkeypatch):
+    # occurrences walks pi one entry at a time, so the first occurrence of
+    # 12 in the identity is yielded after its second entry.
+    calls = []
+    step = mesh.extend_matches
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(mesh, "extend_matches", counted)
+    assert next(mesh.occurrences(tuple(range(1, 9)), mesh.parse_pattern("12|"))) == (1, 2)
+    assert len(calls) == 2
 
 
 def test_sweep_matches_reference_scan_on_random_patterns():
