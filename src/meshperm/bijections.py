@@ -183,14 +183,14 @@ MAPS.update((pid, MAPS["complement" if op == "c" else "reverse"])
 def resolve_map(map_id: str, pair: PatternPair | None = None) -> tuple[str, PatternPair]:
     """The canonical id of a map ('S9', ..., 'complement', 'reverse') and the
     pair it is checked on: ``pair``, or by default the pair of the same id."""
-    map_id = map_id.upper() if map_id.upper() in MAPS else map_id.lower()
-    if map_id not in MAPS:
+    key = map_id.upper() if map_id.upper() in MAPS else map_id.lower()
+    if key not in MAPS:
         raise KeyError(f"unknown map {map_id!r}")
     if pair is None:
-        if map_id in ("complement", "reverse"):
-            raise ValueError(f"map {map_id!r} needs an explicit pair")
-        pair = catalog.get_pair(map_id)
-    return map_id, pair
+        if key in ("complement", "reverse"):
+            raise ValueError(f"map {key!r} needs an explicit pair")
+        pair = catalog.get_pair(key)
+    return key, pair
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ prints it.  Closed forms, recurrences and split tables use this one type.
 
 Every table comes from one sweep (:func:`_sweep`), a depth-first walk of
 the prefix tree of S_n, which counts the occurrences of many patterns in
-packed 8-bit fields, so C(n, m) <= 255 for each pattern length m.  The
-sweep is ceil(n/2) jobs, each a first-entry subtree that also counts the
-complements of the patterns, and so stands for its complementary subtree
-too; the partial tallies are summed, as :func:`merge` sums whole tables,
-so results do not depend on the schedule.
+packed 8-bit fields, so C(n, m) <= 255 for each pattern length m.  Its
+jobs are first-entry subtrees that also count the patterns' complements,
+and reverses if the taus allow, so each stands for other leaves too
+(:func:`_walk`); the partial tallies are summed, as :func:`merge` sums
+whole tables, so results do not depend on the schedule.
 """
 
 from __future__ import annotations
@@ -137,15 +137,21 @@ def marginal(t: JointTable, axis: str = "first") -> list[int]:
 
 
 class _Fields(dict):
-    """Filled-box mask -> packed int with a 1 in the 8-bit field of each
-    pattern in ``slots``, (bit offset, shading mask), that the mask meets."""
+    """Filled-box mask -> packed int, a 1 in the 8-bit field of each pattern
+    in ``slots`` (bit offset, shading mask) that no filled box rules out."""
 
-    def __init__(self, slots: list[tuple[int, int]]):
-        super().__init__()
-        self.slots = slots
+    def __init__(self, slots: list[tuple[int, int]], boxes: int):
+        self.every = sum(1 << at for at, _ in slots)
+        self.keep = [self.every - sum(1 << at for at, shaded in slots if shaded >> b & 1)
+                     for b in range(boxes)]
 
     def __missing__(self, filled: int) -> int:
-        packed = self[filled] = sum(1 << at for at, shaded in self.slots if not shaded & filled)
+        packed, rest = self.every, filled
+        while rest:
+            b = rest.bit_length() - 1
+            packed &= self.keep[b]
+            rest ^= 1 << b
+        self[filled] = packed
         return packed
 
 
@@ -155,20 +161,24 @@ def _walk(job) -> Counter:
     A node of the prefix tree carries the partial matches of each tau and
     the packed counts of the occurrences its prefix completes: the entries
     to come lie in their last column, so their masks are known at once.
-    With ``mirror`` it also counts the complements of the patterns and
-    reports c(pi) too, under n + 1 - first: q occurs in c(pi) as c(q) in pi.
+    ``ops`` adds the images of the patterns under c, then r: q occurs in
+    c(pi) as c(q) in pi and in r(pi) as r(q) in pi, so a leaf reports c(pi)
+    too, and with "cr" r(pi) and rc(pi).  Then only leaves whose last entry
+    b has first < b <= n + 1 - first are walked; at b = n + 1 - first, r(pi)
+    has the ends of c(pi) and rc(pi) is a leaf too, so neither is reported.
     """
-    n, patterns, cells, first, mirror = job
+    n, patterns, cells, first, ops = job
     p = len(patterns)
-    if mirror:
-        patterns = [*patterns, *map(mesh.complement_pattern, patterns)]
+    for op in ops:
+        patterns = [*patterns, *map(mesh.PATTERN_OPS[op], patterns)]
     slots: dict[Perm, list[tuple[int, int]]] = {}
     for i, q in enumerate(patterns):
         slots.setdefault(q.tau, []).append((8 * i, mesh.shading_mask(q)))
-    taus = [(mesh.extension_bounds(tau), _Fields(s)) for tau, s in slots.items()]
+    taus = [(mesh.extension_bounds(tau), _Fields(s, (len(tau) + 1) ** 2)) for tau, s in slots.items()]
+    lo, hi = (first, n + 1 - first) if "r" in ops else (0, n)
     tally, path = Counter(), []
 
-    def grow(v: int, unused: list[int], states: list, total: int) -> None:
+    def grow(v: int, unused: list[int], states: list, total: int, ends: int) -> None:
         path.append(v)
         d = len(path)
         children = []
@@ -179,31 +189,41 @@ def _walk(job) -> Counter:
                 total += sum(fields[mesh.filled_boxes(seq, pos, vals)] for pos, vals in done)
             children.append(kids)
         for i, w in enumerate(unused):
-            grow(w, unused[:i] + unused[i + 1:], children, total)
+            left = ends - (lo < w <= hi)  # allowed last entries below w
+            if left or not unused[1:]:  # else no leaf below w is walked
+                grow(w, unused[:i] + unused[i + 1:], children, total, left)
         if not unused:
             counts = total.to_bytes(len(patterns), "little")
-            tally.update(cells(path, counts[:p]))
-            if mirror:
-                tally.update(cells([n + 1 - w for w in path], counts[p:]))
+            images = [path, [n + 1 - w for w in path]] if ops else [path]
+            if ops == "cr" and v != hi:
+                images += [image[::-1] for image in images]
+            for i, image in enumerate(images):
+                tally.update(cells(image, counts[i * p:i * p + p]))
         path.pop()
 
     rest = [w for w in range(1, n + 1) if w != first]
-    grow(first, rest, [[[((), (0, n + 1))]] + [[]] * (len(tau) - 1) for tau in slots], 0)
+    roots = [[[((), (0, n + 1))]] + [[]] * (len(tau) - 1) for tau in slots]
+    grow(first, rest, roots, 0, sum(lo < w <= hi for w in rest))
     del grow  # it refers to itself: free the subtree's masks now
     return tally
 
 
 def _sweep(n: int, patterns: Sequence[MeshPattern], cells, workers: int) -> Counter:
-    """:func:`_walk` over all of S_n: each first entry f <= n/2 mirrored onto
-    n + 1 - f, and for odd n the middle one, its own complement, alone.  With
-    ``workers`` > 1 the jobs go to a process pool, so ``cells`` must pickle."""
+    """:func:`_walk` over all of S_n, one job per first entry f <= n/2; if the
+    taus are not closed under reverse, the middle entry of an odd n is a job
+    of its own.  With ``workers`` > 1 the jobs go to a process pool, so
+    ``cells`` must pickle."""
     perms.check_capacity(n)
     m = max((q.length for q in patterns), key=lambda m: math.comb(n, m), default=0)
     if math.comb(n, m) > 255:  # the largest count of a length-m pattern
         raise ValueError(f"n={n}, m={m}: C(n, m)={math.comb(n, m)} overflows the 8-bit counts")
     if n == 0:
         return Counter(cells((), bytes(len(patterns))))
-    jobs = [(n, patterns, cells, first, 2 * first <= n) for first in range(1, (n + 3) // 2)]
+    taus = {t for q in patterns for t in (q.tau, perms.complement(q.tau))}
+    ops = "cr" if n > 1 and {perms.reverse(t) for t in taus} == taus else "c"
+    jobs = [(n, patterns, cells, first, ops) for first in range(1, n // 2 + 1)]
+    if n % 2 and ops == "c":
+        jobs.append((n, patterns, cells, (n + 1) // 2, ""))
     if workers <= 1 or len(jobs) < 2:
         return sum(map(_walk, jobs), Counter())
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:

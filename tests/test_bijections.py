@@ -142,7 +142,10 @@ def test_report_json_shape():
 
 
 def test_resolve_map_errors():
-    with pytest.raises(KeyError):
+    # An unknown id is reported as it was given, not case-folded.
+    with pytest.raises(KeyError, match="unknown map 'S10'"):
         bj.resolve_map("S10")
+    with pytest.raises(KeyError, match="unknown map 'Rev'"):
+        bj.resolve_map("Rev")
     with pytest.raises(ValueError):
         bj.resolve_map("complement")

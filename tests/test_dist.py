@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -125,8 +126,9 @@ def test_workers_match_single_threaded():
 
 def test_catalog_tables_do_not_depend_on_workers(monkeypatch):
     # The pool path sums the per-partition tallies of every pair.  At n = 7
-    # the middle subtree is walked alone; 5 workers outnumber the jobs, and
-    # the pool starts no more processes than there are jobs.
+    # the middle subtree is not walked, as its leaves are reverse images of
+    # leaves under 1..3; 5 workers outnumber the three jobs, and the pool
+    # starts no more processes than there are jobs.
     sizes = []
 
     class Pool(dist.ProcessPoolExecutor):
@@ -141,35 +143,95 @@ def test_catalog_tables_do_not_depend_on_workers(monkeypatch):
         assert len(serial) == 58
         for workers in (2, 3, 5):
             assert joint_tables(n, pairs, workers=workers) == serial, (n, workers)
-    assert sizes == [2, 3, 3, 2, 3, 4]
+    assert sizes == [2, 3, 3, 2, 3, 3]
+
+
+# 132 and its complement 312 are not closed under reverse: r(132) = 231.
+NOT_REVERSE_CLOSED = (mesh.parse_pattern("132|0,0;2,2"), mesh.parse_pattern("312|1,3"))
 
 
 def test_sweep_walks_one_subtree_of_each_complementary_pair(monkeypatch):
+    # A17 lies on 123 and 321, closed under complement and reverse: the jobs
+    # are the first entries f <= n/2, each folded by both ("cr").  Otherwise
+    # each job mirrors f onto n + 1 - f ("c"), and for odd n the middle
+    # subtree is walked alone ("").  n = 1 has only the middle subtree.
     walk, jobs = dist._walk, []
     monkeypatch.setattr(dist, "_walk", lambda job: jobs.append(job) or walk(job))
-    p = pair("A17")
-    for n in range(1, 9):
-        jobs.clear()
-        assert table("A17", n).total() == math.factorial(n)
-        assert [first for _, _, _, first, _ in jobs] == list(range(1, (n + 1) // 2 + 1)), n
-        alone = [first for *_, first, mirror in jobs if not mirror]
-        assert alone == ([(n + 1) // 2] if n % 2 else []), n
-        assert all(list(patterns) == [p.q1, p.q2] for _, patterns, *_ in jobs)
+    a17 = pair("A17")
+    for n in range(1, 8):
+        for (q1, q2), folded in (((a17.q1, a17.q2), "cr"), (NOT_REVERSE_CLOSED, "c")):
+            jobs.clear()
+            assert joint_distribution(n, q1, q2).total() == math.factorial(n)
+            want = [(first, folded) for first in range(1, n // 2 + 1)]
+            if n % 2 and (folded == "c" or n == 1):
+                want.append(((n + 1) // 2, ""))
+            assert [(first, ops) for *_, first, ops in jobs] == want, (n, folded)
+            assert all(list(patterns) == [q1, q2] for _, patterns, *_ in jobs)
+
+
+def leaves_walked(monkeypatch, n, pairs):
+    """The number of leaves the sweep walks: calls of the one occurrence
+    step at depth n, which each tau takes once per leaf."""
+    step, calls = mesh.extend_matches, {}
+
+    def counted(levels, bounds, v, d, left):
+        calls[bounds] = calls.get(bounds, 0) + (left == 0)
+        return step(levels, bounds, v, d, left)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mesh, "extend_matches", counted)
+        joint_tables(n, pairs)
+    (leaves,) = set(calls.values())
+    return leaves
+
+
+def test_reverse_fold_walks_fewer_leaves(monkeypatch):
+    # Folded, job f walks the leaves with a last entry b, f < b <= 9 - f:
+    # (7 + 5 + 3 + 1) * 6! = 11,520.  Mirrored, the four jobs walk all of
+    # their subtrees: 4 * 7! = 20,160, half of S_8.
+    cat = [(p.q1, p.q2) for p in catalog.builtin_catalog()]
+    assert leaves_walked(monkeypatch, 8, cat) == 11520
+    assert leaves_walked(monkeypatch, 8, [NOT_REVERSE_CLOSED]) == 20160
 
 
 def test_first_entry_split_at_odd_n():
-    # Classes 5..7 come from mirrored leaves, class 4 from the middle
-    # subtree alone; each must match the engine run on pi itself.
+    # The middle subtree is not walked: class 4 comes from the reverse
+    # images of leaves under 1..3 that end in 4, classes 5..7 from their
+    # complements.  Each class must match the engine run on pi itself.
     p, n = pair("A17"), 7
     parts = split_distribution(n, p.q1, p.q2, lambda pi: pi[0])
     assert list(parts) == list(range(1, n + 1))
     assert all(t.total() == math.factorial(n - 1) for t in parts.values())
     assert functools.reduce(merge, parts.values()) == table("A17", n)
-    want = {first: {} for first in range(1, n + 1)}
-    for pi in perms.enumerate_sn(n):
-        kl = mesh.count_occurrences(pi, p.q1), mesh.count_occurrences(pi, p.q2)
-        want[pi[0]][kl] = want[pi[0]].get(kl, 0) + 1
-    assert parts == {first: JointTable.from_dict(n, t) for first, t in want.items()}
+    assert parts == per_class(n, lambda pi: pi[0])
+
+
+@functools.lru_cache(maxsize=None)
+def a17_counts(n):
+    """The (k, l) of each pi in S_n for A17, by the engine run on pi itself."""
+    p = pair("A17")
+    return {pi: (mesh.count_occurrences(pi, p.q1), mesh.count_occurrences(pi, p.q2))
+            for pi in perms.enumerate_sn(n)}
+
+
+def per_class(n, classify):
+    """The A17 table of each class of S_n, counted permutation by permutation."""
+    want = {}
+    for pi, kl in a17_counts(n).items():
+        tally = want.setdefault(classify(pi), {})
+        tally[kl] = tally.get(kl, 0) + 1
+    return {key: JointTable.from_dict(n, t) for key, t in want.items()}
+
+
+def test_split_by_first_and_last_entry():
+    # A folded leaf with ends (a, b) also reports c(pi), r(pi) and rc(pi),
+    # with ends (n+1-a, n+1-b), (b, a) and (n+1-b, n+1-a); when a + b = n + 1
+    # only pi and c(pi).  A wrong image lands in a wrong class.
+    p = pair("A17")
+    for n in (7, 8):
+        parts = split_distribution(n, p.q1, p.q2, lambda pi: (pi[0], pi[-1]))
+        assert len(parts) == n * (n - 1), n
+        assert parts == per_class(n, lambda pi: (pi[0], pi[-1])), n
 
 
 def reference_positions(pi, q):
@@ -279,6 +341,51 @@ def reference_tables(n, pairs):
         for tally, kl in zip(tallies, zip(counts[::2], counts[1::2])):
             tally[kl] = tally.get(kl, 0) + 1
     return [JointTable.from_dict(n, t) for t in tallies]
+
+
+def test_reverse_fold_matches_reference_scan(monkeypatch):
+    # Random shadings, empty to full, on tau sets closed under reverse, where
+    # the sweep folds, and on one that is not, where it only mirrors.  Each
+    # permutation's counts, and so each image a leaf reports, are checked
+    # against the reference scan.
+    walk, ops = dist._walk, set()
+    monkeypatch.setattr(dist, "_walk", lambda job: ops.add(job[4]) or walk(job))
+    rng = random.Random(1017)
+    tau_sets = [("cr", "1"), ("cr", "12 21"), ("cr", "123 321"), ("cr", "1234 4321"),
+                ("cr", "2413 3142"), ("c", "2413 1342")]
+    for folded, taus in tau_sets:
+        taus = [perms.parse_perm(t) for t in taus.split()]
+        boxes = [(i, j) for i in range(len(taus[0]) + 1) for j in range(len(taus[0]) + 1)]
+        half = len(boxes) // 2  # q1 lightly shaded, from empty; q2 heavily, to full
+        q1 = mesh.pattern(taus[0], rng.sample(boxes, rng.randint(0, half)))
+        q2 = mesh.pattern(taus[-1], rng.sample(boxes, rng.randint(half, len(boxes))))
+        for n in range(1, 8):
+            ops.clear()
+            want = {pi: (reference_count(pi, q1), reference_count(pi, q2))
+                    for pi in perms.enumerate_sn(n)}
+            got = split_distribution(n, q1, q2, lambda pi: pi)
+            assert {pi: t.to_dict() for pi, t in got.items()} == {
+                pi: {kl: 1} for pi, kl in want.items()}, (n, str(q1), str(q2))
+            assert joint_distribution(n, q1, q2) == JointTable.from_dict(n, Counter(want.values()))
+            middle = {""} if n % 2 and (folded == "c" or n == 1) else set()
+            assert ops == ({folded} if n > 1 else set()) | middle, (n, str(q1), str(q2))
+
+
+@functools.lru_cache(maxsize=None)
+def classical_positions(pi, m):
+    """The position tuples of length m in pi, by the pattern their entries form."""
+    found = {}
+    for pos in itertools.combinations(range(1, len(pi) + 1), m):
+        vals = [pi[p - 1] for p in pos]
+        ranks = sorted(vals)
+        found.setdefault(tuple(ranks.index(v) + 1 for v in vals), []).append(pos)
+    return found
+
+
+def reference_count(pi, q):
+    """Occurrences of q in pi by the reference scan."""
+    return sum(mesh.is_occurrence(pi, pos, q, table=None)
+               for pos in classical_positions(pi, q.length).get(q.tau, ()))
 
 
 def test_sweeps_carry_no_packed_counts_between_calls():
