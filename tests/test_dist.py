@@ -203,35 +203,11 @@ def test_first_entry_split_at_odd_n():
     assert list(parts) == list(range(1, n + 1))
     assert all(t.total() == math.factorial(n - 1) for t in parts.values())
     assert functools.reduce(merge, parts.values()) == table("A17", n)
-    assert parts == per_class(n, lambda pi: pi[0])
-
-
-@functools.lru_cache(maxsize=None)
-def a17_counts(n):
-    """The (k, l) of each pi in S_n for A17, by the engine run on pi itself."""
-    p = pair("A17")
-    return {pi: (mesh.count_occurrences(pi, p.q1), mesh.count_occurrences(pi, p.q2))
-            for pi in perms.enumerate_sn(n)}
-
-
-def per_class(n, classify):
-    """The A17 table of each class of S_n, counted permutation by permutation."""
-    want = {}
-    for pi, kl in a17_counts(n).items():
-        tally = want.setdefault(classify(pi), {})
-        tally[kl] = tally.get(kl, 0) + 1
-    return {key: JointTable.from_dict(n, t) for key, t in want.items()}
-
-
-def test_split_by_first_and_last_entry():
-    # A folded leaf with ends (a, b) also reports c(pi), r(pi) and rc(pi),
-    # with ends (n+1-a, n+1-b), (b, a) and (n+1-b, n+1-a); when a + b = n + 1
-    # only pi and c(pi).  A wrong image lands in a wrong class.
-    p = pair("A17")
-    for n in (7, 8):
-        parts = split_distribution(n, p.q1, p.q2, lambda pi: (pi[0], pi[-1]))
-        assert len(parts) == n * (n - 1), n
-        assert parts == per_class(n, lambda pi: (pi[0], pi[-1])), n
+    want = {first: {} for first in range(1, n + 1)}
+    for pi in perms.enumerate_sn(n):
+        kl = mesh.count_occurrences(pi, p.q1), mesh.count_occurrences(pi, p.q2)
+        want[pi[0]][kl] = want[pi[0]].get(kl, 0) + 1
+    assert parts == {first: JointTable.from_dict(n, t) for first, t in want.items()}
 
 
 def reference_positions(pi, q):
@@ -345,20 +321,24 @@ def reference_tables(n, pairs):
 
 def test_reverse_fold_matches_reference_scan(monkeypatch):
     # Random shadings, empty to full, on tau sets closed under reverse, where
-    # the sweep folds, and on one that is not, where it only mirrors.  Each
-    # permutation's counts, and so each image a leaf reports, are checked
-    # against the reference scan.
+    # the sweep folds, and on one that is not, where it only mirrors; then
+    # A17's shadings.  Each permutation's counts, and so each image a leaf
+    # reports, are checked against the reference scan.
     walk, ops = dist._walk, set()
     monkeypatch.setattr(dist, "_walk", lambda job: ops.add(job[4]) or walk(job))
     rng = random.Random(1017)
     tau_sets = [("cr", "1"), ("cr", "12 21"), ("cr", "123 321"), ("cr", "1234 4321"),
                 ("cr", "2413 3142"), ("c", "2413 1342")]
+    cases = []
     for folded, taus in tau_sets:
         taus = [perms.parse_perm(t) for t in taus.split()]
         boxes = [(i, j) for i in range(len(taus[0]) + 1) for j in range(len(taus[0]) + 1)]
         half = len(boxes) // 2  # q1 lightly shaded, from empty; q2 heavily, to full
         q1 = mesh.pattern(taus[0], rng.sample(boxes, rng.randint(0, half)))
         q2 = mesh.pattern(taus[-1], rng.sample(boxes, rng.randint(half, len(boxes))))
+        cases.append((folded, q1, q2))
+    cases.append(("cr", pair("A17").q1, pair("A17").q2))
+    for folded, q1, q2 in cases:
         for n in range(1, 8):
             ops.clear()
             want = {pi: (reference_count(pi, q1), reference_count(pi, q2))
