@@ -284,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
-        message = exc.args[0] if exc.args else exc
+        message = exc if isinstance(exc, OSError) or not exc.args else exc.args[0]
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
 

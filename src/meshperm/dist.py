@@ -12,7 +12,7 @@ Every table comes from one sweep (:func:`_sweep`), a depth-first walk of
 the prefix tree of S_n, which counts the occurrences of many patterns in
 packed 8-bit fields, so C(n, m) <= 255 for each pattern length m.  Its
 jobs are first-entry subtrees that also count the patterns' complements,
-and reverses if the taus allow, so each stands for other leaves too
+reverses and reverse-complements, so each stands for other leaves too
 (:func:`_walk`); the partial tallies are summed, as :func:`merge` sums
 whole tables, so results do not depend on the schedule.
 """
@@ -161,21 +161,21 @@ def _walk(job) -> Counter:
     A node of the prefix tree carries the partial matches of each tau and
     the packed counts of the occurrences its prefix completes: the entries
     to come lie in their last column, so their masks are known at once.
-    ``ops`` adds the images of the patterns under c, then r: q occurs in
-    c(pi) as c(q) in pi and in r(pi) as r(q) in pi, so a leaf reports c(pi)
-    too, and with "cr" r(pi) and rc(pi).  Then only leaves whose last entry
-    b has first < b <= n + 1 - first are walked; at b = n + 1 - first, r(pi)
-    has the ends of c(pi) and rc(pi) is a leaf too, so neither is reported.
+    The patterns' images under c, then r, are counted too: q occurs in
+    c(pi) as c(q) in pi and in r(pi) as r(q) in pi, so a leaf also reports
+    c(pi), r(pi) and rc(pi).  So only leaves whose last entry b has
+    first < b <= n + 1 - first are walked; at b = n + 1 - first, r(pi) has
+    the ends of c(pi) and rc(pi) is a leaf too, so neither is reported.
     """
-    n, patterns, cells, first, ops = job
+    n, patterns, cells, first = job
     p = len(patterns)
-    for op in ops:
+    for op in "cr":
         patterns = [*patterns, *map(mesh.PATTERN_OPS[op], patterns)]
     slots: dict[Perm, list[tuple[int, int]]] = {}
     for i, q in enumerate(patterns):
         slots.setdefault(q.tau, []).append((8 * i, mesh.shading_mask(q)))
     taus = [(mesh.extension_bounds(tau), _Fields(s, (len(tau) + 1) ** 2)) for tau, s in slots.items()]
-    lo, hi = (first, n + 1 - first) if "r" in ops else (0, n)
+    hi = n + 1 - first
     tally, path = Counter(), []
 
     def grow(v: int, unused: list[int], states: list, total: int, ends: int) -> None:
@@ -189,13 +189,13 @@ def _walk(job) -> Counter:
                 total += sum(fields[mesh.filled_boxes(seq, pos, vals)] for pos, vals in done)
             children.append(kids)
         for i, w in enumerate(unused):
-            left = ends - (lo < w <= hi)  # allowed last entries below w
+            left = ends - (first < w <= hi)  # allowed last entries below w
             if left or not unused[1:]:  # else no leaf below w is walked
                 grow(w, unused[:i] + unused[i + 1:], children, total, left)
         if not unused:
             counts = total.to_bytes(len(patterns), "little")
-            images = [path, [n + 1 - w for w in path]] if ops else [path]
-            if ops == "cr" and v != hi:
+            images = [path, [n + 1 - w for w in path]]
+            if v != hi:
                 images += [image[::-1] for image in images]
             for i, image in enumerate(images):
                 tally.update(cells(image, counts[i * p:i * p + p]))
@@ -203,27 +203,23 @@ def _walk(job) -> Counter:
 
     rest = [w for w in range(1, n + 1) if w != first]
     roots = [[[((), (0, n + 1))]] + [[]] * (len(tau) - 1) for tau in slots]
-    grow(first, rest, roots, 0, sum(lo < w <= hi for w in rest))
+    grow(first, rest, roots, 0, sum(first < w <= hi for w in rest))
     del grow  # it refers to itself: free the subtree's masks now
     return tally
 
 
 def _sweep(n: int, patterns: Sequence[MeshPattern], cells, workers: int) -> Counter:
-    """:func:`_walk` over all of S_n, one job per first entry f <= n/2; if the
-    taus are not closed under reverse, the middle entry of an odd n is a job
-    of its own.  With ``workers`` > 1 the jobs go to a process pool, so
-    ``cells`` must pickle."""
+    """:func:`_walk` over all of S_n, one job per first entry f <= n/2; for
+    n <= 1 there is none, and the one permutation is counted directly.  With
+    ``workers`` > 1 the jobs go to a process pool, so ``cells`` must pickle."""
     perms.check_capacity(n)
     m = max((q.length for q in patterns), key=lambda m: math.comb(n, m), default=0)
     if math.comb(n, m) > 255:  # the largest count of a length-m pattern
         raise ValueError(f"n={n}, m={m}: C(n, m)={math.comb(n, m)} overflows the 8-bit counts")
-    if n == 0:
-        return Counter(cells((), bytes(len(patterns))))
-    taus = {t for q in patterns for t in (q.tau, perms.complement(q.tau))}
-    ops = "cr" if n > 1 and {perms.reverse(t) for t in taus} == taus else "c"
-    jobs = [(n, patterns, cells, first, ops) for first in range(1, n // 2 + 1)]
-    if n % 2 and ops == "c":
-        jobs.append((n, patterns, cells, (n + 1) // 2, ""))
+    if n <= 1:
+        pi = tuple(range(1, n + 1))
+        return Counter(cells(pi, bytes(mesh.count_occurrences(pi, q) for q in patterns)))
+    jobs = [(n, patterns, cells, first) for first in range(1, n // 2 + 1)]
     if workers <= 1 or len(jobs) < 2:
         return sum(map(_walk, jobs), Counter())
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:

@@ -316,6 +316,19 @@ def test_export_files(capsys, tmp_path):
     assert (tmp_path / "A17_n3.csv").read_text().startswith("k,l,count\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "catalog validate --path {missing}",
+        "table A17 3 --format json --out {missing}/x.json",
+    ],
+)
+def test_an_unreadable_or_unwritable_path_is_named(argv, capsys, tmp_path):
+    missing = tmp_path / "missing"
+    code, _, err = run(capsys, *argv.format(missing=missing).split())
+    assert code == 2 and str(missing) in err
+
+
 @pytest.mark.parametrize("command", ["verify", "export"])
 def test_an_empty_pair_selection_is_a_usage_error(command, capsys):
     code, out, err = run(capsys, command, "--pairs", ",", "--n", "3")
