@@ -3,7 +3,9 @@ The built-in registry of the 58 pattern pairs under study.
 
 Each pair couples a mesh pattern on 123 with one on 321 carrying the same
 shading.  Pairs are grouped into frames: every pair in a frame has the same
-joint table over S_n for every n (checked by brute force elsewhere).  The
+joint table over S_n for every n.  :func:`frames` is the one list of who
+shares a table: ``meshperm.checks`` compares the tables within each frame,
+and each closed form with every pair in its anchor's frame.  The
 data lives in ``catalog_data.txt`` next to this module, one pair per line:
 
     <id> <family> <frame> <status> <q1-pattern-text> <q2-pattern-text>
@@ -192,10 +194,9 @@ def frames(catalog: tuple[PatternPair, ...] | None = None) -> dict[str, list[Pat
 
 # Each chain starts from the q1 pattern of an anchor pair and applies words
 # in the operators c (complement), r (reverse), i (inverse).  The waypoint
-# after each word names the catalog pair the intermediate pattern must match.
-# Since c and r flip the underlying classical pattern 123 <-> 321 while i
-# fixes it, the matching slot (q1 or q2 of the waypoint) is determined by
-# tracking the parity of c/r applications.
+# after each word names the catalog pair the intermediate pattern must match,
+# in the slot of its tau: q1 if it lies on 123, q2 if on 321 (c and r swap
+# the two, i fixes both).
 DERIVATION_CHAINS: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = (
     ("S9", (("cr", "S10"),)),
     ("S11", (("cr", "S12"),)),
@@ -242,7 +243,8 @@ def validate_derivations(
 ) -> DerivationReport:
     """Recompute every documented derivation chain and internal symmetry.
 
-    Returns a report; mismatches are data, not exceptions.
+    Each waypoint's pattern is compared with the catalog entry in the slot
+    of its tau.  Returns a report; mismatches are data, not exceptions.
     """
     pairs = by_id(catalog)
     checks: list[tuple[str, bool, str]] = []
@@ -250,16 +252,12 @@ def validate_derivations(
     for start_id, steps in DERIVATION_CHAINS:
         for start_slot in ("q1", "q2"):
             current = getattr(pairs[start_id], start_slot)
-            slot_is_q1 = start_slot == "q1"
             trail = [f"{start_id}.{start_slot}"]
             ok = True
             detail = ""
             for ops, target_id in steps:
                 current = mesh.apply_pattern_ops(current, ops)
-                flips = sum(1 for op in ops if op in "cr")
-                if flips % 2:
-                    slot_is_q1 = not slot_is_q1
-                slot = "q1" if slot_is_q1 else "q2"
+                slot = "q1" if current.tau == (1, 2, 3) else "q2"
                 expected = getattr(pairs[target_id], slot)
                 trail.append(f"-{ops}-> {target_id}.{slot}")
                 if current != expected:

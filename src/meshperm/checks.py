@@ -11,11 +11,13 @@ n range, pass, the first mismatch as ``[n, k, l, want, got]`` and the table
 it lies in (both None on a pass), and the seconds taken.  A run over no n
 fails.
 
-``crosscheck`` runs the closed-form checks.  ``verify`` runs the catalog
-checks in :data:`VERIFY` (joint symmetry, never-both, frame equality).
-They take two more arguments, the selected pair ids and the ones among
-them that the check covers, and read their tables from one sweep of the
-selection per n.
+``crosscheck`` runs the closed-form checks.  Each route in :data:`ROUTES`
+is compared with every pair in its anchor's frame, as
+:func:`catalog.frames` groups them, and those pairs' tables come from one
+sweep per n.  ``verify`` runs the catalog checks in :data:`VERIFY` (joint
+symmetry, never-both, frame equality).  They take two more arguments, the
+selected pair ids and the ones among them that the check covers, and read
+their tables from one sweep of the selection per n.
 """
 
 from __future__ import annotations
@@ -27,12 +29,26 @@ from typing import Iterable, Iterator
 
 from . import catalog, closed_forms as cf, dist, invseq, mesh
 
-ANCHORS = ("S19", "S20", "A17", *(f"A{i}" for i in range(25, 37)))
+# anchor -> (the closed_forms function, looked up at call time, that gives
+# the table of every pair in the anchor's frame; the record's title)
+ROUTES = {
+    "S19": ("s19_table", "S19 split recurrence total == brute force for S19 and S20"),
+    "A17": ("a17_table", "A17 closed form == brute force for A17..A24"),
+    "A25": ("a25_table", "A25 split recurrence total == brute force for A25..A32"),
+    "A33": ("a33_polynomial", "A33 polynomial recurrence == brute force for A33..A36"),
+}
+
+
+def _frame(anchor: str) -> list[str]:
+    """The ids of the pairs in ``anchor``'s frame, in catalog order."""
+    return [p.id for p in catalog.frames()[catalog.get_pair(anchor).frame]]
 
 
 @functools.lru_cache(maxsize=None)
-def _brute(n: int, workers: int, ids: tuple = ANCHORS) -> dict[str, dist.JointTable]:
-    """Brute-force tables of the pairs ``ids`` over S_n, from one sweep."""
+def _brute(n: int, workers: int, ids: tuple | None = None) -> dict[str, dist.JointTable]:
+    """Brute-force tables of the pairs ``ids`` over S_n, from one sweep; by
+    default the pairs in the frames of :data:`ROUTES`."""
+    ids = ids or tuple(pid for anchor in ROUTES for pid in _frame(anchor))
     cat = catalog.by_id()
     pairs = [(cat[pid].q1, cat[pid].q2) for pid in ids]
     return dict(zip(ids, dist.joint_tables(n, pairs, workers=workers)))
@@ -63,11 +79,18 @@ def _split(pid: str, n: int, classify, rec: dict) -> Iterator[tuple]:
         yield from _grid(table, rec.get(key, empty), split.get(key, empty))
 
 
-def s19(n: int, workers: int) -> Iterator[tuple]:
-    """S19 split recurrence total == brute force for S19 and S20"""
-    want = cf.s19_table(n)
-    for pid in ("S19", "S20"):
-        yield from _grid(pid, want, _brute(n, workers)[pid])
+def closed_form(anchor: str):
+    """The check that compares ``anchor``'s route in :data:`ROUTES` with
+    the brute-force table of every pair in its frame."""
+    route, title = ROUTES[anchor]
+
+    def check(n: int, workers: int) -> Iterator[tuple]:
+        want = getattr(cf, route)(n)
+        for pid in _frame(anchor):
+            yield from _grid(pid, want, _brute(n, workers)[pid])
+
+    check.__doc__ = title
+    return check
 
 
 def s19_split(n: int, workers: int) -> Iterator[tuple]:
@@ -78,13 +101,10 @@ def s19_split(n: int, workers: int) -> Iterator[tuple]:
 def stirling_pairs(n: int, workers: int) -> Iterator[tuple]:
     """tilde_T(n,k) == c(n,k+1) for the three length-2 patterns"""
     want = [cf.stirling_pair_count(n, k) for k in range(n)]
-    for pat in (cf.STIRLING_PAIR_12, cf.STIRLING_PAIR_12_FLIP, cf.STIRLING_PAIR_21):
-        yield from _row(mesh.format_pattern(pat), want, dist.distribution(n, pat))
-
-
-def a17(n: int, workers: int) -> Iterator[tuple]:
-    """A17 closed form == brute force"""
-    yield from _grid("A17", cf.a17_table(n), _brute(n, workers)["A17"])
+    p12, flip, p21 = cf.STIRLING_PAIR_12, cf.STIRLING_PAIR_12_FLIP, cf.STIRLING_PAIR_21
+    t12, t21 = dist.joint_tables(n, [(p12, flip), (p21, p21)])  # one sweep
+    for pat, t, axis in ((p12, t12, "first"), (flip, t12, "second"), (p21, t21, "first")):
+        yield from _row(mesh.format_pattern(pat), want, dist.marginal(t, axis))
 
 
 def a17_convolution(n: int, workers: int) -> Iterator[tuple]:
@@ -94,25 +114,15 @@ def a17_convolution(n: int, workers: int) -> Iterator[tuple]:
 
 
 def a17_avoiders(n: int, workers: int) -> Iterator[tuple]:
-    """A17 double avoiders == 2*harmonic_factorial(n-2)"""
-    yield "A17", 0, 0, cf.a17_double_avoiders(n), _brute(n, workers)["A17"].entry(0, 0)
-
-
-def a25(n: int, workers: int) -> Iterator[tuple]:
-    """A25 split recurrence total == brute force for A25..A32"""
-    want = cf.a25_table(n)
-    for pid in [f"A{i}" for i in range(25, 33)]:
-        yield from _grid(pid, want, _brute(n, workers)[pid])
+    """A17..A24 double avoiders == 2*harmonic_factorial(n-2)"""
+    want = cf.a17_double_avoiders(n)
+    for pid in _frame("A17"):
+        yield pid, 0, 0, want, _brute(n, workers)[pid].entry(0, 0)
 
 
 def a25_split(n: int, workers: int) -> Iterator[tuple]:
     """A25 split parts == position-of-max classes"""
     yield from _split("A25", n, cf.position_of_max_class, cf.a25_split_tables(n))
-
-
-def a33(n: int, workers: int) -> Iterator[tuple]:
-    """A33 polynomial recurrence == brute force"""
-    yield from _grid("A33", cf.a33_polynomial(n), _brute(n, workers)["A33"])
 
 
 def a33_coefficients(n: int, workers: int) -> Iterator[tuple]:
@@ -125,7 +135,7 @@ def a33_coefficients(n: int, workers: int) -> Iterator[tuple]:
 def marginals(n: int, workers: int) -> Iterator[tuple]:
     """A25..A36 brute-force marginals == marginal recurrence"""
     want = cf.a25_family_marginal(n)
-    for pid in [f"A{i}" for i in range(25, 37)]:
+    for pid in _frame("A25") + _frame("A33"):
         yield from _row(pid, want, dist.marginal(_brute(n, workers)[pid], "first"))
 
 
@@ -181,15 +191,15 @@ def frame_tables(n: int, workers: int, selected: tuple, covered: list) -> Iterat
 
 # name -> (check, the n range that ``--n n_max`` runs it over)
 CHECKS = {
-    "S19": (s19, lambda n_max: range(2, n_max + 1)),
+    "S19": (closed_form("S19"), lambda n_max: range(2, n_max + 1)),
     "S19-split": (s19_split, lambda n_max: range(2, min(n_max, 6) + 1)),
     "stirling-pairs": (stirling_pairs, lambda n_max: range(1, min(n_max, 8) + 1)),
-    "A17": (a17, lambda n_max: range(2, n_max + 1)),
+    "A17": (closed_form("A17"), lambda n_max: range(2, n_max + 1)),
     "A17-convolution": (a17_convolution, lambda n_max: range(2, max(n_max, 9) + 1)),
     "A17-avoiders": (a17_avoiders, lambda n_max: range(2, n_max + 1)),
-    "A25": (a25, lambda n_max: range(2, n_max + 1)),
+    "A25": (closed_form("A25"), lambda n_max: range(2, n_max + 1)),
     "A25-split": (a25_split, lambda n_max: range(2, min(n_max, 6) + 1)),
-    "A33": (a33, lambda n_max: range(2, n_max + 1)),
+    "A33": (closed_form("A33"), lambda n_max: range(2, n_max + 1)),
     "A33-coefficients": (a33_coefficients, lambda n_max: range(4, max(n_max, 9) + 1)),
     "marginals": (marginals, lambda n_max: range(2, n_max + 1)),
     "invseq": (inversion_sequences, lambda n_max: range(2, min(n_max, 8) + 1)),
@@ -204,7 +214,7 @@ CHECKS = {
 # check covers (for frames, grouped by frame).  ``crosscheck`` runs the rest.
 VERIFY = {
     "symmetric": lambda ids: [i for i in ids if catalog.get_pair(i).status == "proven"],
-    "conjectures": lambda ids: [i for i in ids if i in catalog.CONJECTURED_IDS],
+    "conjectures": lambda ids: [i for i in ids if catalog.get_pair(i).status == "conjectured"],
     "never-both": lambda ids: [i for i in ids if i in catalog.NEVER_BOTH_IDS],
     "frames": lambda ids: [
         [p.id for p in members]

@@ -299,18 +299,15 @@ def distribution(n: int, q: MeshPattern) -> list[int]:
 
 
 def table_to_json(
-    t: JointTable,
-    q1: MeshPattern | None = None,
-    q2: MeshPattern | None = None,
-    source: str = "brute_force",
+    t: JointTable, q1: MeshPattern | None = None, q2: MeshPattern | None = None
 ) -> str:
-    """Byte-stable JSON export of a table."""
+    """Byte-stable JSON export of a table; every exported table is swept."""
     obj = {
         "n": t.n,
         "q1": mesh.format_pattern(q1) if q1 is not None else None,
         "q2": mesh.format_pattern(q2) if q2 is not None else None,
         "counts": [list(row) for row in t.counts],
-        "source": source,
+        "source": "brute_force",
     }
     return json.dumps(obj, sort_keys=True)
 

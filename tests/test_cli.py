@@ -126,7 +126,7 @@ def corrupt_brute(monkeypatch, pid, n, cell=(1, 0)):
     """Add 1 to one cell of the swept table of ``pid`` at ``n``."""
     real = checks._brute
 
-    def corrupt(n_, workers, ids=checks.ANCHORS):
+    def corrupt(n_, workers, ids=None):
         tables = real(n_, workers, ids)
         if n_ != n or pid not in tables:
             return tables
@@ -198,7 +198,7 @@ def test_crosscheck(capsys):
     assert code == 0
     assert "crosscheck: ok" in out
     assert "FAIL" not in out and out.count("PASS") == 13
-    assert "PASS  A17 closed form == brute force (n=2..4)" in out
+    assert "PASS  A17 closed form == brute force for A17..A24 (n=2..4)" in out
 
 
 def test_crosscheck_records_do_not_depend_on_workers(capsys):
@@ -258,29 +258,30 @@ def test_crosscheck_names_the_first_mismatch(capsys, monkeypatch):
     assert code == 1 and "first mismatch (n, k, l, want, got) = [5, 1, 0, 30, 29]" in out
 
 
-def test_crosscheck_names_the_failing_table(capsys, monkeypatch):
-    # Only the brute-force A26 table at n = 5 is off by one in cell (0, 0);
-    # the A25 check compares A25..A32, so its record must name A26.
-    real = checks._brute
+# corrupted pair -> the crosscheck records that must fail
+FAILING = {
+    "A26": ["A25", "marginals"],
+    "A18": ["A17", "A17-avoiders"],
+    "A34": ["A33", "marginals"],
+}
 
-    def corrupt(n, workers):
-        tables = real(n, workers)
-        if n != 5:
-            return tables
-        counts = [list(row) for row in tables["A26"].counts]
-        counts[0][0] += 1
-        return {**tables, "A26": dist.JointTable(n, tuple(map(tuple, counts)))}
 
-    monkeypatch.setattr(checks, "_brute", corrupt)
+@pytest.mark.parametrize("pid", FAILING)
+def test_crosscheck_names_the_failing_table(capsys, monkeypatch, pid):
+    # Only the brute-force table of pid at n = 5 is off by one in cell
+    # (0, 0); each closed form is compared with every pair in its anchor's
+    # frame, so the records that fail must name pid, not the anchor.
+    failing = FAILING[pid]
+    t = corrupt_brute(monkeypatch, pid, 5, cell=(0, 0))
     code, out, _ = run(capsys, "crosscheck", "--n", "5", "--format", "json")
     records = {r["name"]: r for r in json.loads(out)["checks"]}
     assert code == 1
-    assert [name for name, r in records.items() if not r["pass"]] == ["A25", "marginals"]
-    assert records["A25"]["table"] == "A26" and records["marginals"]["table"] == "A26"
-    assert records["A25"]["mismatch"] == [5, 0, 0, 32, 33]
+    assert [name for name, r in records.items() if not r["pass"]] == failing
+    assert all(records[name]["table"] == pid for name in failing)
+    assert records[failing[0]]["mismatch"] == [5, 0, 0, t.entry(0, 0), t.entry(0, 0) + 1]
     assert all(r["table"] is None for r in records.values() if r["pass"])
     code, out, _ = run(capsys, "crosscheck", "--n", "5")
-    assert code == 1 and "in A26\n" in out and "in A25" not in out
+    assert code == 1 and f"in {pid}\n" in out and f"in {failing[0]}" not in out
 
 
 def test_bijection_pass_and_fail(capsys):

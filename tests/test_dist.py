@@ -404,7 +404,6 @@ def test_json_export_is_stable():
     assert obj["counts"] == [[4, 1], [1, 0]]
     assert obj["q1"].startswith("123|")
     assert obj["source"] == "brute_force"
-    assert table_to_json(t, p.q1, p.q2, source="closed_form").count("closed_form") == 1
 
 
 def test_csv_export():
