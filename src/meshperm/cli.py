@@ -50,7 +50,7 @@ def _selected_pairs(tokens: list[str]) -> list[catalog.PatternPair]:
     if not tokens or [t.lower() for t in tokens] == ["all"]:
         return list(cat)
     index = catalog.by_id(cat)
-    chosen = []
+    chosen = {}  # id -> pair, in the order of first mention
     for token in tokens:
         for pid in token.split(","):
             pid = pid.strip().upper()
@@ -58,10 +58,10 @@ def _selected_pairs(tokens: list[str]) -> list[catalog.PatternPair]:
                 continue
             if pid not in index:
                 raise ValueError(f"unknown pair id {pid!r}")
-            chosen.append(index[pid])
+            chosen.setdefault(pid, index[pid])
     if not chosen:
         raise ValueError("no pair selected")
-    return chosen
+    return list(chosen.values())
 
 
 def _emit(text: str, out: str | Path | None) -> None:
@@ -132,6 +132,8 @@ def _run_checks(command: str, args: argparse.Namespace, names, pairs=None, nonfa
     """Run the checks ``names`` over the n ranges ``--n`` gives them and
     print their records, one line each or as JSON, and a verdict that only
     the checks in ``nonfatal`` cannot fail."""
+    if args.n < 2:
+        raise ValueError(f"{command} needs --n >= 2, got {args.n}")
     runs = (
         checks.run(name, checks.CHECKS[name][1](args.n), args.workers, pairs)
         for name in names
@@ -144,7 +146,7 @@ def _run_checks(command: str, args: argparse.Namespace, names, pairs=None, nonfa
     else:
         lines = []
         for r in records:
-            span = "n={}..{}".format(*r["n"]) if r["n"] else "no n"
+            span = "n={}..{}".format(*r["n"])
             miss = (
                 f"  first mismatch (n, k, l, want, got) = {r['mismatch']} in {r['table']}"
                 if r["mismatch"] else ""
@@ -157,8 +159,6 @@ def _run_checks(command: str, args: argparse.Namespace, names, pairs=None, nonfa
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _validated(args)
-    if args.n < 2:
-        raise ValueError(f"verify needs --n >= 2, got {args.n}")
     pairs = [p.id for p in _selected_pairs(args.pairs)]
     # A failed conjecture is reported, and fails verify only under --strict.
     nonfatal = () if args.strict else ("conjectures",)

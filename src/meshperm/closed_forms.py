@@ -20,6 +20,9 @@ Anchor pairs and what is computed for them:
 * A25..A36 share one single-pattern distribution; its marginal recurrence
   is :func:`a25_family_marginal`.
 
+Every whole-table recurrence is one :func:`_step` per n: a sum of earlier
+tables, each times a number and shifted by a power of x and of y.
+
 Every table is a :class:`meshperm.dist.JointTable`.  A split is a dict from
 class to table, as :func:`meshperm.dist.split_distribution` returns it for
 the same classifier (:func:`first_step_descends`,
@@ -29,6 +32,7 @@ the same classifier (:func:`first_step_descends`,
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from math import comb, factorial
 
 from . import dist, mesh
@@ -63,17 +67,18 @@ def stirling1(n: int, k: int) -> int:
 def stirling_pair_count(n: int, k: int) -> int:
     """Number of n-permutations with k occurrences of STIRLING_PAIR_12.
 
-    Equals c(n, k+1); the same distribution is shared by
-    STIRLING_PAIR_12_FLIP and STIRLING_PAIR_21.
+    Equals c(n, k+1) for n >= 1; the same distribution is shared by
+    STIRLING_PAIR_12_FLIP and STIRLING_PAIR_21.  At n = 0 it counts the
+    empty permutation: 1 at k = 0 and 0 otherwise.
 
-    >>> stirling_pair_count(1, 0)
-    1
+    >>> [stirling_pair_count(0, k) for k in range(2)]
+    [1, 0]
     >>> stirling_pair_count(3, 0)
     2
     """
-    if n < 1:
-        raise ValueError("defined for n >= 1")
-    return stirling1(n, k + 1)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return stirling1(n, k + 1) if n else int(k == 0)
 
 
 def harmonic_factorial(n: int) -> int:
@@ -106,22 +111,25 @@ def stirling_convolution_identity(n: int, m: int, r: int) -> bool:
     return lhs == comb(m, r) * stirling1(n, m)
 
 
+def _step(*terms) -> dict[tuple[int, int], int]:
+    """Sum ``times * x^dk * y^dl * table`` over the ``terms`` (table, times,
+    dk, dl) of sparse (k, l) -> count dicts.  Only entries equal to 0 are
+    dropped; a negative count on the way is kept.
+    """
+    total = Counter()
+    for table, times, dk, dl in terms:
+        total.update({(k + dk, l + dl): times * c for (k, l), c in table.items()})
+    return {kl: c for kl, c in total.items() if c}
+
+
 # ---------------------------------------------------------------------------
 # Split tables
 # ---------------------------------------------------------------------------
-
-Entry = dict[tuple[int, int], int]
 
 
 def _split(n: int, parts: dict) -> dict[object, JointTable]:
     """Class -> table, leaving out the empty classes."""
     return {key: JointTable.from_dict(n, t) for key, t in parts.items() if t}
-
-
-def _get(d: Entry, k: int, l: int) -> int:
-    if k < 0 or l < 0:
-        return 0
-    return d.get((k, l), 0)
 
 
 def first_step_descends(pi) -> bool:
@@ -146,24 +154,12 @@ def s19_split_tables(n: int) -> dict[bool, JointTable]:
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
-    t1: Entry = {(0, 0): 1}
-    t2: Entry = {(0, 0): 1}
+    t1 = t2 = {(0, 0): 1}
     for m in range(3, n + 1):
-        keys = {
-            (k, l)
-            for k in range(m - 1)
-            for l in range(m - 1)
-        }
-        new1: Entry = {}
-        new2: Entry = {}
-        for k, l in keys:
-            v1 = (m - 2) * _get(t1, k, l) + _get(t1, k, l - 1) + _get(t2, k, l)
-            v2 = _get(t1, k, l) + (m - 2) * _get(t2, k, l) + _get(t2, k - 1, l)
-            if v1:
-                new1[(k, l)] = v1
-            if v2:
-                new2[(k, l)] = v2
-        t1, t2 = new1, new2
+        t1, t2 = (
+            _step((t1, m - 2, 0, 0), (t1, 1, 0, 1), (t2, 1, 0, 0)),
+            _step((t1, 1, 0, 0), (t2, m - 2, 0, 0), (t2, 1, 1, 0)),
+        )
     return _split(n, {True: t1, False: t2})
 
 
@@ -205,21 +201,11 @@ def a25_split_tables(n: int) -> dict[str, JointTable]:
     seed_n = min(n, 3)
     t1, t2, t3 = _A25_SEED[seed_n]
     for m in range(seed_n + 1, n + 1):
-        keys = {(k, l) for k in range(m - 1) for l in range(m - 1)}
-        new1: Entry = {}
-        new2: Entry = {}
-        new3: Entry = {}
-        for k, l in keys:
-            v1 = _get(t1, k, l - 1) + _get(t2, k, l) + _get(t3, k, l - 1)
-            v2 = _get(t1, k, l) + _get(t2, k - 1, l) + _get(t3, k - 1, l)
-            v3 = (m - 2) * (_get(t1, k, l) + _get(t2, k, l) + _get(t3, k, l))
-            if v1:
-                new1[(k, l)] = v1
-            if v2:
-                new2[(k, l)] = v2
-            if v3:
-                new3[(k, l)] = v3
-        t1, t2, t3 = new1, new2, new3
+        t1, t2, t3 = (
+            _step((t1, 1, 0, 1), (t2, 1, 0, 0), (t3, 1, 0, 1)),
+            _step((t1, 1, 0, 0), (t2, 1, 1, 0), (t3, 1, 1, 0)),
+            _step((t1, m - 2, 0, 0), (t2, m - 2, 0, 0), (t3, m - 2, 0, 0)),
+        )
     return _split(n, {"first": t1, "last": t2, "interior": t3})
 
 
@@ -270,19 +256,13 @@ def a17_table(n: int) -> JointTable:
     return JointTable.from_dict(n, entries)
 
 
-def _tilde(i: int, k: int) -> int:
-    # stirling_pair_count extended by the empty permutation.
-    if i == 0:
-        return 1 if k == 0 else 0
-    return stirling1(i, k + 1)
-
-
 def a17_entry_by_convolution(n: int, k: int, l: int) -> int:
     """The same entry as :func:`a17_entry`, via the binomial convolution
 
-        sum_{i=0}^{n-1} C(n-1, i) tilde(i, k) tilde(n-1-i, l)
+        sum_{i=0}^{n-1} C(n-1, i) s(i, k) s(n-1-i, l)
 
-    where tilde(i, k) = c(i, k+1) counts the auxiliary length-2 pattern.
+    where s is :func:`stirling_pair_count`, the count of the auxiliary
+    length-2 pattern.
 
     >>> a17_entry_by_convolution(4, 0, 0)
     10
@@ -294,7 +274,8 @@ def a17_entry_by_convolution(n: int, k: int, l: int) -> int:
     if k < 0 or l < 0:
         return 0
     return sum(
-        comb(n - 1, i) * _tilde(i, k) * _tilde(n - 1 - i, l) for i in range(n)
+        comb(n - 1, i) * stirling_pair_count(i, k) * stirling_pair_count(n - 1 - i, l)
+        for i in range(n)
     )
 
 
@@ -327,26 +308,13 @@ def a33_polynomial(n: int) -> JointTable:
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
-    prev: Entry = {(0, 0): 2}
-    if n == 2:
-        return JointTable.from_dict(n, prev)
-    cur: Entry = {(0, 0): 4, (1, 0): 1, (0, 1): 1}
+    prev, cur = {(0, 0): 2}, {(0, 0): 4, (1, 0): 1, (0, 1): 1}
     for m in range(4, n + 1):
-        nxt: Entry = {}
-
-        def add(k: int, l: int, c: int) -> None:
-            if c:
-                nxt[(k, l)] = nxt.get((k, l), 0) + c
-
-        for (k, l), c in cur.items():
-            add(k, l, (m - 2) * c)
-            add(k + 1, l, c)
-            add(k, l + 1, c)
-        for (k, l), c in prev.items():
-            add(k, l, c)
-            add(k + 1, l + 1, -c)
-        prev, cur = cur, {kl: c for kl, c in nxt.items() if c}
-    return JointTable.from_dict(n, cur)
+        prev, cur = cur, _step(
+            (cur, m - 2, 0, 0), (cur, 1, 1, 0), (cur, 1, 0, 1),
+            (prev, 1, 0, 0), (prev, -1, 1, 1),
+        )
+    return JointTable.from_dict(n, prev if n == 2 else cur)
 
 
 @functools.lru_cache(maxsize=None)
@@ -390,12 +358,12 @@ def a33_entry_by_recurrence(n: int, k: int, l: int) -> int:
 def a25_family_marginal(n: int) -> list[int]:
     """Single-pattern occurrence distribution shared by pairs A25..A36.
 
-    Entry k counts n-permutations with k occurrences of the pair's first
-    pattern.  Iterates
+    Count k is the number of n-permutations with k occurrences of the
+    pair's first pattern.  Iterates, on tables with l = 0,
 
         T(n,k) = (n-1) T(n-1,k) + T(n-1,k-1) + T(n-2,k) - T(n-2,k-1)
 
-    from [2] at n = 2 and [5, 1] at n = 3.
+    from [1] at n = 1 and [2] at n = 2.
 
     >>> a25_family_marginal(4)
     [17, 6, 1]
@@ -404,17 +372,9 @@ def a25_family_marginal(n: int) -> list[int]:
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
-    prev = [2]
-    if n == 2:
-        return prev
-    cur = [5, 1]
-    for m in range(4, n + 1):
-        def at(seq: list[int], k: int) -> int:
-            return seq[k] if 0 <= k < len(seq) else 0
-
-        nxt = [
-            (m - 1) * at(cur, k) + at(cur, k - 1) + at(prev, k) - at(prev, k - 1)
-            for k in range(m - 1)
-        ]
-        prev, cur = cur, nxt
-    return cur
+    prev, cur = {(0, 0): 1}, {(0, 0): 2}
+    for m in range(3, n + 1):
+        prev, cur = cur, _step(
+            (cur, m - 1, 0, 0), (cur, 1, 1, 0), (prev, 1, 0, 0), (prev, -1, 1, 0)
+        )
+    return [cur.get((k, 0), 0) for k in range(n - 1)]

@@ -103,11 +103,14 @@ def test_workers_must_be_positive(capsys):
     assert code == 2 and "workers" in err
 
 
-def test_verify_needs_n_at_least_2(capsys):
-    # Below n = 2 verify would sweep no table and report every check ok.
+@pytest.mark.parametrize("command", ["verify", "crosscheck"])
+def test_check_commands_need_n_at_least_2(command, capsys):
+    # Below n = 2 a check would sweep no table: verify would report every
+    # check ok, crosscheck a FAIL for each check with no n to run over.
     for n in ("1", "0"):
-        code, out, err = run(capsys, "verify", "--pairs", "S19", "--n", n)
-        assert code == 2 and out == "" and "error: verify needs --n >= 2" in err
+        code, out, err = run(capsys, command, "--n", n)
+        assert code == 2 and out == ""
+        assert f"error: {command} needs --n >= 2, got {n}" in err
 
 
 def test_verify_json(capsys):
@@ -214,15 +217,12 @@ def test_crosscheck_records_do_not_depend_on_workers(capsys):
     assert records[1] == records[2]
 
 
-def test_crosscheck_over_no_n_fails(capsys):
-    # At --n 1 nine checks have no n to run over: each is a FAIL, not a PASS.
-    code, out, _ = run(capsys, "crosscheck", "--n", "1", "--format", "json")
-    empty = [r for r in json.loads(out)["checks"] if r["n"] == []]
-    assert code == 1 and len(empty) == 9
-    assert all(r["pass"] is False and r["mismatch"] is None for r in empty)
-    code, out, _ = run(capsys, "crosscheck", "--n", "1")
-    assert code == 1 and out.count("(no n)") == out.count("FAIL  ") == 9
-    assert out.endswith("crosscheck: FAIL\n")
+def test_crosscheck_over_no_n_fails():
+    # The command refuses --n < 2; a library run over no n is a FAIL, not a PASS.
+    for name in checks.CROSSCHECK:
+        record = checks.run(name, range(0))
+        assert record["n"] == [] and record["pass"] is False, name
+        assert record["mismatch"] is None and record["table"] is None, name
 
 
 def test_verify_and_crosscheck_print_the_same_json_shape(capsys):
@@ -305,6 +305,17 @@ def test_catalog_validate(capsys):
     code, out, _ = run(capsys, "catalog", "validate")
     assert code == 0
     assert "catalog validate: ok" in out
+
+
+def test_export_counts_a_repeated_pair_once(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "export", "--pairs", "S1,s1", "--n", "3", "--out", str(tmp_path),
+    )
+    assert code == 0 and out == f"wrote 1 table(s) to {tmp_path}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["S1_n3.json"]
+    # To stdout each pair is printed once, in the order of its first mention.
+    code, out, _ = run(capsys, "export", "--pairs", "S1", "S19,S1", "--n", "3")
+    assert code == 0 and out == run(capsys, "export", "--pairs", "S1,S19", "--n", "3")[1]
 
 
 def test_export_files(capsys, tmp_path):

@@ -23,6 +23,10 @@ def test_stirling_pair_count():
     assert cf.stirling_pair_count(3, 0) == 2
     for n in range(1, 7):
         assert cf.stirling_pair_count(n, n - 1) == 1
+    # n = 0 counts the empty permutation, with no occurrence.
+    assert cf.stirling_pair_count(0, 0) == 1 and cf.stirling_pair_count(0, 1) == 0
+    with pytest.raises(ValueError):
+        cf.stirling_pair_count(-1, 0)
 
 
 def test_stirling_pair_count_matches_brute_force():
@@ -138,8 +142,24 @@ def test_marginal_values():
     assert cf.a25_family_marginal(3) == [5, 1]
     assert cf.a25_family_marginal(4) == [17, 6, 1]
     assert cf.a25_family_marginal(5) == [73, 37, 9, 1]
-    for n in range(2, 9):
+    for n in range(2, 13):
         assert sum(cf.a25_family_marginal(n)) == math.factorial(n)
+
+
+def test_recurrence_invariants_beyond_brute_force_reach():
+    # Brute force reaches n = 7-8; these hold wherever the recurrences run.
+    for n in range(2, 13):
+        f = math.factorial(n)
+        for table in (cf.s19_table(n), cf.a25_table(n), cf.a33_polynomial(n), cf.a17_table(n)):
+            assert table.total() == f, n
+            assert table == dist.JointTable.from_dict(
+                n, {(l, k): c for k, l, c in table.cells()}
+            ), n
+        s19 = cf.s19_split_tables(n)
+        assert {key: t.total() for key, t in s19.items()} == {True: f // 2, False: f // 2}
+        a25 = {key: t.total() for key, t in cf.a25_split_tables(n).items()}
+        want = {"first": f // n, "last": f // n, "interior": (n - 2) * (f // n)}
+        assert a25 == {key: c for key, c in want.items() if c}, n
 
 
 def test_marginal_matches_tables():
