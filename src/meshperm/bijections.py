@@ -6,7 +6,8 @@ Two kinds of map live here:
 
 * occurrence swappers: involutions f of S_n with
   (occurrences of q1, occurrences of q2) composed with f equal to the
-  swapped pair.  These are the global symmetries (complement / reverse)
+  swapped pair.  These are the global symmetries (complement / reverse),
+  each attached to the pairs of ``catalog.INTERNAL_SYMMETRY`` it proves,
   and the entry-swapping maps attached to pairs S9, S11, S13, S15, S17.
 * the iterated swap attached to pair S21: a map from the avoiders of q1
   into the avoiders of q2 within C(n, 3) swaps.  It is injective only for
@@ -14,19 +15,19 @@ Two kinds of map live here:
   the Wilf-equivalence of the two patterns is shown by direct count
   (criterion 12b), not by this map.
 
-Every map is checked by :func:`verify_swap_bijection`; failures are
-returned as report data, never hidden.
+A map is named by the id of the pair it proves.  Every map is checked by
+:func:`verify_swap_bijection` on that pair; failures are returned as
+report data, never hidden.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb, factorial
 from typing import Callable
 
 from . import catalog, dist, mesh, perms
-from .catalog import PatternPair
 from .mesh import MeshPattern
 from .perms import Perm
 
@@ -162,10 +163,10 @@ def map_s21(pi: Perm, q1: MeshPattern, q2: MeshPattern) -> Perm:
     return iterated_swap(pi, q1, q2)[0]
 
 
-# Each map as a function of (pi, q1, q2).  S10/S12/S14/S16/S18 have no direct
-# map: they are handled through the derivation chains and table equality
-# instead.  A pair proved by a single global symmetry of the square names
-# that symmetry, checked on its own pair.
+# Each map as a function of (pi, q1, q2), named by the id of the pair it
+# proves.  S10/S12/S14/S16/S18 have no direct map: they are handled through
+# the derivation chains and table equality instead.  Each pair of
+# catalog.INTERNAL_SYMMETRY maps by the symmetry that proves it.
 MAPS: dict[str, Callable[[Perm, MeshPattern, MeshPattern], Perm]] = {
     "S9": lambda pi, q1, q2: map_s9(pi),
     "S11": lambda pi, q1, q2: map_s11(pi),
@@ -173,24 +174,12 @@ MAPS: dict[str, Callable[[Perm, MeshPattern, MeshPattern], Perm]] = {
     "S15": lambda pi, q1, q2: map_s13(pi),
     "S17": map_s17,
     "S21": map_s21,
-    "complement": lambda pi, q1, q2: perms.complement(pi),
-    "reverse": lambda pi, q1, q2: perms.reverse(pi),
 }
-MAPS.update((pid, MAPS["complement" if op == "c" else "reverse"])
-            for pid, op in catalog.INTERNAL_SYMMETRY.items())
-
-
-def resolve_map(map_id: str, pair: PatternPair | None = None) -> tuple[str, PatternPair]:
-    """The canonical id of a map ('S9', ..., 'complement', 'reverse') and the
-    pair it is checked on: ``pair``, or by default the pair of the same id."""
-    key = map_id.upper() if map_id.upper() in MAPS else map_id.lower()
-    if key not in MAPS:
-        raise KeyError(f"unknown map {map_id!r}")
-    if pair is None:
-        if key in ("complement", "reverse"):
-            raise ValueError(f"map {key!r} needs an explicit pair")
-        pair = catalog.get_pair(key)
-    return key, pair
+_SYMMETRIES = {
+    "c": lambda pi, q1, q2: perms.complement(pi),
+    "r": lambda pi, q1, q2: perms.reverse(pi),
+}
+MAPS.update((pid, _SYMMETRIES[op]) for pid, op in catalog.INTERNAL_SYMMETRY.items())
 
 
 @dataclass(frozen=True)
@@ -203,14 +192,8 @@ class BijectionReport:
     stats: dict
 
     def to_json(self) -> str:
-        obj = {
-            "map": self.map,
-            "pair": self.pair,
-            "n": self.n,
-            "pass": self.passed,
-            "counterexample": self.counterexample,
-            "stats": self.stats,
-        }
+        obj = asdict(self)
+        obj["pass"] = obj.pop("passed")
         return json.dumps(obj, sort_keys=True)
 
 
@@ -280,23 +263,25 @@ def _verify_wilf(
     return True, None, stats
 
 
-def verify_swap_bijection(
-    map_id: str, n: int, pair: PatternPair | None = None
-) -> BijectionReport:
+def verify_swap_bijection(map_id: str, n: int) -> BijectionReport:
     """Exhaustively check a map over S_n; failures become report data.
 
     For occurrence swappers: the map must be an involution and must swap
     the joint counts of the pair.  For the iterated swap: it must biject
     the avoiders of q1 onto the avoiders of q2 within C(n, 3) swaps; when
     it is not injective, ``stats["collision"]`` names the first two inputs
-    in enumeration order that share an image, and that image.
+    in enumeration order that share an image, and that image.  ``map_id``
+    is the id of the pair the map proves, in upper or lower case.
     """
     perms.check_capacity(n)
-    map_id, pair = resolve_map(map_id, pair)
-    if map_id == "S21":
+    key = map_id.upper()
+    if key not in MAPS:
+        raise KeyError(f"unknown map {map_id!r}")
+    pair = catalog.get_pair(key)
+    if key == "S21":
         ok, bad, stats = _verify_wilf(n, pair.q1, pair.q2)
     else:
-        ok, bad, stats = _verify_swapper(MAPS[map_id], n, pair.q1, pair.q2)
+        ok, bad, stats = _verify_swapper(MAPS[key], n, pair.q1, pair.q2)
     return BijectionReport(
-        map=map_id, pair=pair.id, n=n, passed=ok, counterexample=bad, stats=stats
+        map=key, pair=pair.id, n=n, passed=ok, counterexample=bad, stats=stats
     )

@@ -16,7 +16,8 @@ repeated boxes with a warning.
 
 Most non-anchor pairs are derived from an anchor pair by a documented word
 in the complement/reverse/inverse operators; :func:`validate_derivations`
-recomputes every chain and confirms it lands exactly on the catalog entry.
+recomputes every chain and confirms it lands exactly on the catalog entry,
+and returns one ``(name, passed, detail)`` record per check.
 """
 
 from __future__ import annotations
@@ -226,25 +227,14 @@ INTERNAL_SYMMETRY = {
 }
 
 
-@dataclass(frozen=True)
-class DerivationReport:
-    checks: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(good for _, good, _ in self.checks)
-
-    def failures(self) -> list[str]:
-        return [f"{name}: {detail}" for name, good, detail in self.checks if not good]
-
-
 def validate_derivations(
     catalog: tuple[PatternPair, ...] | None = None,
-) -> DerivationReport:
+) -> list[tuple[str, bool, str]]:
     """Recompute every documented derivation chain and internal symmetry.
 
     Each waypoint's pattern is compared with the catalog entry in the slot
-    of its tau.  Returns a report; mismatches are data, not exceptions.
+    of its tau.  Returns one ``(name, passed, detail)`` record per chain
+    start and per symmetry; mismatches are data, not exceptions.
     """
     pairs = by_id(catalog)
     checks: list[tuple[str, bool, str]] = []
@@ -276,4 +266,4 @@ def validate_derivations(
         detail = "" if ok else f"{op}(q1) = {mesh.format_pattern(derived)} != q2"
         checks.append((f"{pid}: {op}(q1) == q2", ok, detail))
 
-    return DerivationReport(tuple(checks))
+    return checks

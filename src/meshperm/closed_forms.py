@@ -4,9 +4,10 @@ Closed forms and recurrences for the catalog's anchor pairs.
 Everything here is built from exact integer recurrences, independently of
 the brute-force enumeration engine, so the two sides can cross-check each
 other.  The A25 split (:func:`a25_split_tables`) starts from the literal
-three-way split of S_2 and S_3, written out by hand because the published
-initial conditions do not pin it down; a test re-derives it from the 2 + 6
-permutations with the reference scan.
+three-way split of S_2, written out by hand because the published initial
+conditions do not pin it down; a test re-derives it, and the first step of
+the recurrence, from the 2 + 6 permutations of S_2 and S_3 with the
+reference scan.
 
 Anchor pairs and what is computed for them:
 
@@ -178,19 +179,16 @@ def position_of_max_class(pi) -> str:
     return "interior"
 
 
-# Exact split of S_2 and S_3 for pair A25 by position of the largest entry,
-# as (first, last, interior) parts: the recurrence's initial conditions.
-_A25_SEED = {
-    2: ({(0, 0): 1}, {(0, 0): 1}, {}),
-    3: ({(0, 0): 1, (0, 1): 1}, {(0, 0): 1, (1, 0): 1}, {(0, 0): 2}),
-}
+# Exact split of S_2 for pair A25 by position of the largest entry, as
+# (first, last, interior) parts: the recurrence's initial condition.
+_A25_SEED = ({(0, 0): 1}, {(0, 0): 1}, {})
 
 
 def a25_split_tables(n: int) -> dict[str, JointTable]:
     """Joint tables of pair A25 split by :func:`position_of_max_class`.
 
     part1 ("first"): largest entry first; part2 ("last"): largest entry
-    last; part3 ("interior"): elsewhere.  Iterates, from the split of S_3,
+    last; part3 ("interior"): elsewhere.  Iterates, from the split of S_2,
 
         part1(n,k,l) = part1(n-1,k,l-1) + part2(n-1,k,l) + part3(n-1,k,l-1)
         part2(n,k,l) = part1(n-1,k,l) + part2(n-1,k-1,l) + part3(n-1,k-1,l)
@@ -198,9 +196,8 @@ def a25_split_tables(n: int) -> dict[str, JointTable]:
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
-    seed_n = min(n, 3)
-    t1, t2, t3 = _A25_SEED[seed_n]
-    for m in range(seed_n + 1, n + 1):
+    t1, t2, t3 = _A25_SEED
+    for m in range(3, n + 1):
         t1, t2, t3 = (
             _step((t1, 1, 0, 1), (t2, 1, 0, 0), (t3, 1, 0, 1)),
             _step((t1, 1, 0, 0), (t2, 1, 1, 0), (t3, 1, 1, 0)),

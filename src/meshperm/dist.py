@@ -244,20 +244,6 @@ def joint_tables(
     return [JointTable.from_dict(n, t) for t in tables]
 
 
-def joint_distribution(
-    n: int, q1: MeshPattern, q2: MeshPattern, workers: int = 1
-) -> JointTable:
-    """Exact joint table of one pattern pair over S_n.
-
-    >>> from .mesh import parse_pattern
-    >>> s19 = parse_pattern("123|0,0;0,1;0,2;1,0;1,1;1,2;2,0;2,1;2,2")
-    >>> s19c = parse_pattern("321|0,0;0,1;0,2;1,0;1,1;1,2;2,0;2,1;2,2")
-    >>> joint_distribution(2, s19, s19c).counts
-    ((2,),)
-    """
-    return joint_tables(n, [(q1, q2)], workers=workers)[0]
-
-
 def split_distribution(
     n: int,
     q1: MeshPattern,
@@ -298,14 +284,12 @@ def distribution(n: int, q: MeshPattern) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def table_to_json(
-    t: JointTable, q1: MeshPattern | None = None, q2: MeshPattern | None = None
-) -> str:
+def table_to_json(t: JointTable, q1: MeshPattern, q2: MeshPattern) -> str:
     """Byte-stable JSON export of a table; every exported table is swept."""
     obj = {
         "n": t.n,
-        "q1": mesh.format_pattern(q1) if q1 is not None else None,
-        "q2": mesh.format_pattern(q2) if q2 is not None else None,
+        "q1": mesh.format_pattern(q1),
+        "q2": mesh.format_pattern(q2),
         "counts": [list(row) for row in t.counts],
         "source": "brute_force",
     }

@@ -191,9 +191,10 @@ def test_c12_s21_iterated_swap_bijection():
 
 
 def test_c13_derivation_chain_closure():
-    report = catalog.validate_derivations()
-    assert report.ok, report.failures()
-    print(f"criterion 13: PASS ({len(report.checks)} chain/symmetry checks close exactly)")
+    records = catalog.validate_derivations()
+    failed = [r for r in records if not r[1]]
+    assert not failed, failed
+    print(f"criterion 13: PASS ({len(records)} chain/symmetry checks close exactly)")
 
 
 def test_c14_equivariance_random():

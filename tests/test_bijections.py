@@ -50,10 +50,9 @@ def test_s17_identity_on_double_avoiders():
 
 
 def test_global_symmetry_maps_pass_harness():
-    assert bj.verify_swap_bijection("complement", 5, catalog.get_pair("S1")).passed
-    assert bj.verify_swap_bijection("complement", 4, catalog.get_pair("S4")).passed
-    assert bj.verify_swap_bijection("reverse", 5, catalog.get_pair("A3")).passed
-    assert bj.verify_swap_bijection("A1", 5).passed
+    for pid in catalog.INTERNAL_SYMMETRY:
+        report = bj.verify_swap_bijection(pid, 5)
+        assert report.passed, (pid, report.counterexample)
 
 
 def test_map_s21_examples():
@@ -141,11 +140,8 @@ def test_report_json_shape():
     assert "stats" in obj
 
 
-def test_resolve_map_errors():
+@pytest.mark.parametrize("map_id", ["S10", "Rev", "complement"])
+def test_unknown_map_errors(map_id):
     # An unknown id is reported as it was given, not case-folded.
-    with pytest.raises(KeyError, match="unknown map 'S10'"):
-        bj.resolve_map("S10")
-    with pytest.raises(KeyError, match="unknown map 'Rev'"):
-        bj.resolve_map("Rev")
-    with pytest.raises(ValueError):
-        bj.resolve_map("complement")
+    with pytest.raises(KeyError, match=f"unknown map '{map_id}'"):
+        bj.verify_swap_bijection(map_id, 4)

@@ -44,14 +44,18 @@ def test_table_unknown_pair(capsys):
     assert code == 2 and "unknown" in err
 
 
-def test_table_json_payload(capsys, tmp_path):
-    out_path = tmp_path / "t.json"
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_table_out_payload(fmt, capsys, tmp_path):
+    # --out holds the table in the chosen format; stdout is the polynomial.
+    out_path = tmp_path / "t.out"
     code, out, _ = run(
-        capsys, "table", "A33", "3", "--format", "json", "--out", str(out_path)
+        capsys, "table", "A33", "3", "--format", fmt, "--out", str(out_path)
     )
-    assert code == 0
-    obj = json.loads(out_path.read_text())
-    assert obj["counts"] == [[4, 1], [1, 0]]
+    assert code == 0 and out == "x + y + 4\n"
+    if fmt == "text":
+        assert out_path.read_text() == "x + y + 4\n"
+    else:
+        assert json.loads(out_path.read_text())["counts"] == [[4, 1], [1, 0]]
 
 
 def test_table_csv_payload(capsys):
@@ -295,10 +299,11 @@ def test_bijection_pass_and_fail(capsys):
 
 
 def test_bijection_symmetry_map_needs_pair(capsys):
+    # A map is named by the id of its pair, in either case.
     code, _, err = run(capsys, "bijection", "complement", "--n", "4")
-    assert code == 2
-    code, out, _ = run(capsys, "bijection", "complement", "--pair", "S1", "--n", "4")
-    assert code == 0
+    assert code == 2 and "unknown map 'complement'" in err
+    code, out, _ = run(capsys, "bijection", "s1", "--n", "4")
+    assert code == 0 and json.loads(out)["map"] == "S1"
 
 
 def test_catalog_validate(capsys):
@@ -369,6 +374,7 @@ def test_workers_flag(capsys):
     [
         "bijection S9 --format csv",
         "bijection S9 --workers 2",
+        "bijection S1 --pair S1",
         "catalog validate --workers 9",
         "catalog validate --format csv",
         "verify --format csv",

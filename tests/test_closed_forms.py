@@ -81,8 +81,8 @@ def test_a17_double_avoiders():
 
 
 def test_a25_seed_matches_reference_scan():
-    # The recurrence starts from literal splits of S_2 and S_3; re-derive
-    # them with the naive box scan.
+    # The recurrence starts from a literal split of S_2; re-derive it, and
+    # at n = 3 the first recurrence step, with the naive box scan.
     p = catalog.get_pair("A25")
     for n in (2, 3):
         parts = {"first": {}, "last": {}, "interior": {}}

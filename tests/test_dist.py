@@ -12,7 +12,6 @@ from meshperm.dist import (
     JointTable,
     avoider_count,
     distribution,
-    joint_distribution,
     joint_tables,
     marginal,
     merge,
@@ -28,7 +27,7 @@ def pair(pid):
 
 def table(pid, n, workers=1):
     p = pair(pid)
-    return joint_distribution(n, p.q1, p.q2, workers=workers)
+    return joint_tables(n, [(p.q1, p.q2)], workers=workers)[0]
 
 
 def test_s19_n2():
@@ -87,7 +86,7 @@ def test_avoider_examples():
 
 def test_render_edge_cases():
     assert table("A33", 2).render() == "2"
-    empty = joint_distribution(0, pair("A33").q1, pair("A33").q2)
+    empty = table("A33", 0)
     assert empty.counts == ((1,),)
     assert empty.render() == "1"
     assert JointTable.from_dict(3, {}).render() == "0"
@@ -118,10 +117,7 @@ def test_merge_of_first_entry_halves():
 
 
 def test_workers_match_single_threaded():
-    p = pair("A17")
-    seq = joint_distribution(5, p.q1, p.q2, workers=1)
-    par = joint_distribution(5, p.q1, p.q2, workers=3)
-    assert seq == par
+    assert table("A17", 5, workers=1) == table("A17", 5, workers=3)
 
 
 def test_catalog_tables_do_not_depend_on_workers(monkeypatch):
@@ -161,7 +157,7 @@ def test_sweep_walks_one_subtree_of_each_complementary_pair(monkeypatch):
     for n in range(1, 8):
         for q1, q2 in ((a17.q1, a17.q2), NOT_REVERSE_CLOSED):
             jobs.clear()
-            assert joint_distribution(n, q1, q2).total() == math.factorial(n)
+            assert joint_tables(n, [(q1, q2)])[0].total() == math.factorial(n)
             assert [first for *_, first in jobs] == list(range(1, n // 2 + 1)), (n, str(q1))
             assert all(list(patterns) == [q1, q2] for _, patterns, *_ in jobs)
 
@@ -338,7 +334,7 @@ def test_reverse_fold_matches_reference_scan():
             got = split_distribution(n, q1, q2, lambda pi: pi)
             assert {pi: t.to_dict() for pi, t in got.items()} == {
                 pi: {kl: 1} for pi, kl in want.items()}, (n, str(q1), str(q2))
-            assert joint_distribution(n, q1, q2) == JointTable.from_dict(n, Counter(want.values()))
+            assert joint_tables(n, [(q1, q2)])[0] == JointTable.from_dict(n, Counter(want.values()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -412,15 +408,12 @@ def test_csv_export():
 
 
 def test_never_both_for_swap_family():
-    cat = catalog.by_id()
     for pid in [f"S{i}" for i in range(9, 19)]:
-        p = cat[pid]
         for n in range(2, 7):
-            t = joint_distribution(n, p.q1, p.q2)
+            t = table(pid, n)
             assert all(k == 0 or l == 0 for k, l, _ in t.cells()), (pid, n)
 
 
 def test_capacity_guard():
-    p = pair("S19")
     with pytest.raises(perms.CapacityError):
-        joint_distribution(11, p.q1, p.q2)
+        table("S19", 11)
