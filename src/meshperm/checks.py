@@ -16,8 +16,8 @@ is compared with every pair in its anchor's frame, as
 :func:`catalog.frames` groups them, and those pairs' tables come from one
 sweep per n.  ``verify`` runs the catalog checks in :data:`VERIFY` (joint
 symmetry, never-both, frame equality).  They take two more arguments, the
-selected pair ids and the ones among them that the check covers, and read
-their tables from one sweep of the selection per n.
+selected pair ids as :func:`catalog.get_pair` names them and the ones the
+check covers, and read their tables from one sweep of the selection per n.
 """
 
 from __future__ import annotations
@@ -230,8 +230,8 @@ def run(
 ) -> dict | None:
     """Run check ``name`` over every n in ``ns`` and return its record.
 
-    A catalog check runs on the pairs ``pairs`` (all 58 by default) and
-    returns None when it covers none of them.
+    A catalog check runs on the pairs ``pairs``, ids in either case (all 58
+    by default), and returns None when it covers none of them.
 
     >>> record = run("A17-convolution", range(2, 4))
     >>> record["pass"], record["n"], record["mismatch"], record["table"]
@@ -244,7 +244,7 @@ def run(
     if name in VERIFY:
         if pairs is None:
             pairs = (p.id for p in catalog.builtin_catalog())
-        pairs = tuple(dict.fromkeys(pairs))
+        pairs = tuple(dict.fromkeys(catalog.get_pair(pid).id for pid in pairs))
         covered = VERIFY[name](pairs)
         if not covered:
             return None

@@ -14,10 +14,11 @@ Subcommands:
 * ``catalog validate`` -- catalog invariants and derivation-chain closure.
 * ``export`` -- write joint tables for selected pairs to files.
 
-``verify`` and ``crosscheck`` run checks from :mod:`meshperm.checks` and
-print one line per record (``PASS|FAIL  <title> (n=a..b)``, then the first
-mismatching cell and its table) and ``<command>: ok|FAIL``; under
-``--format json``, ``{"n_max", "pass", "checks": [record, ...]}``.
+``verify``, ``crosscheck`` and ``catalog validate`` print one line per
+check record and ``<command>: ok|FAIL``, or under ``--format json`` one
+object with the records under ``"checks"`` and the verdict under ``"pass"``.
+A :mod:`meshperm.checks` record prints as ``PASS|FAIL  <title> (n=a..b)``
+and its first mismatching cell and table.  Pair ids go to :func:`catalog.get_pair`.
 
 Exit codes: 0 all asserted checks pass; 1 an asserted check failed;
 2 usage or configuration error.  A failed ``conjectures`` record (S21,
@@ -46,19 +47,11 @@ def _validated(args: argparse.Namespace) -> None:
 
 
 def _selected_pairs(tokens: list[str]) -> list[catalog.PatternPair]:
-    cat = catalog.builtin_catalog()
+    """The pairs ``tokens`` name (``all`` or comma-separated ids), in order of first mention."""
     if not tokens or [t.lower() for t in tokens] == ["all"]:
-        return list(cat)
-    index = catalog.by_id(cat)
-    chosen = {}  # id -> pair, in the order of first mention
-    for token in tokens:
-        for pid in token.split(","):
-            pid = pid.strip().upper()
-            if not pid:
-                continue
-            if pid not in index:
-                raise ValueError(f"unknown pair id {pid!r}")
-            chosen.setdefault(pid, index[pid])
+        return list(catalog.builtin_catalog())
+    ids = [pid.strip() for token in tokens for pid in token.split(",")]
+    chosen = {p.id: p for p in map(catalog.get_pair, filter(None, ids))}
     if not chosen:
         raise ValueError("no pair selected")
     return list(chosen.values())
@@ -130,33 +123,32 @@ def cmd_export(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _report(command: str, args: argparse.Namespace, ok: bool, payload: dict, lines: list[str]) -> int:
+    """Print a check report as ``payload`` and verdict in JSON, or as ``lines``
+    and ``<command>: ok|FAIL``; return its exit code."""
+    if args.format == "json":
+        _emit(json.dumps({**payload, "pass": ok}, sort_keys=True), args.out)
+    else:
+        _emit("\n".join([*lines, f"{command}: {'ok' if ok else 'FAIL'}"]), args.out)
+    return EXIT_OK if ok else EXIT_FAIL
+
+
 def _run_checks(command: str, args: argparse.Namespace, names, pairs=None, nonfatal=()) -> int:
     """Run the checks ``names`` over the n ranges ``--n`` gives them and
-    print their records, one line each or as JSON, and a verdict that only
-    the checks in ``nonfatal`` cannot fail."""
+    report their records and a verdict that only the checks in
+    ``nonfatal`` cannot fail."""
     if args.n < 2:
         raise ValueError(f"{command} needs --n >= 2, got {args.n}")
-    runs = (
-        checks.run(name, checks.CHECKS[name][1](args.n), args.workers, pairs)
-        for name in names
-    )
+    runs = [checks.run(name, checks.CHECKS[name][1](args.n), args.workers, pairs) for name in names]
     records = [r for r in runs if r is not None]
     ok = all(r["pass"] or r["name"] in nonfatal for r in records)
-    if args.format == "json":
-        payload = {"n_max": args.n, "checks": records, "pass": ok}
-        _emit(json.dumps(payload, sort_keys=True), args.out)
-    else:
-        lines = []
-        for r in records:
-            span = "n={}..{}".format(*r["n"])
-            miss = (
-                f"  first mismatch (n, k, l, want, got) = {r['mismatch']} in {r['table']}"
-                if r["mismatch"] else ""
-            )
-            lines.append(f"{'PASS' if r['pass'] else 'FAIL'}  {r['title']} ({span}){miss}")
-        lines.append(f"{command}: {'ok' if ok else 'FAIL'}")
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK if ok else EXIT_FAIL
+    lines = [
+        f"{'PASS' if r['pass'] else 'FAIL'}  {r['title']} (n={r['n'][0]}..{r['n'][1]})"
+        + (f"  first mismatch (n, k, l, want, got) = {r['mismatch']} in {r['table']}"
+           if r["mismatch"] else "")
+        for r in records
+    ]
+    return _report(command, args, ok, {"n_max": args.n, "checks": records}, lines)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -187,24 +179,15 @@ def cmd_bijection(args: argparse.Namespace) -> int:
 def cmd_catalog(args: argparse.Namespace) -> int:
     cat = catalog.load_catalog(args.path) if args.path else catalog.builtin_catalog()
     records = catalog.validate_derivations(cat)
-    ok = all(good for _, good, _ in records)
-    if args.format == "json":
-        payload = {
-            "pairs": len(cat),
-            "checks": [
-                {"name": name, "pass": good, "detail": detail}
-                for name, good, detail in records
-            ],
-            "pass": ok,
-        }
-        _emit(json.dumps(payload, sort_keys=True), args.out)
-    else:
-        lines = [f"{len(cat)} pairs validated"]
-        for name, good, detail in records:
-            lines.append(f"{'PASS' if good else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
-        lines.append(f"catalog validate: {'ok' if ok else 'FAIL'}")
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK if ok else EXIT_FAIL
+    payload = {
+        "pairs": len(cat),
+        "checks": [{"name": name, "pass": good, "detail": detail} for name, good, detail in records],
+    }
+    lines = [f"{len(cat)} pairs validated"] + [
+        f"{'PASS' if good else 'FAIL'}  {name}" + (f"  ({detail})" if detail else "")
+        for name, good, detail in records
+    ]
+    return _report("catalog validate", args, all(good for _, good, _ in records), payload, lines)
 
 
 # ---------------------------------------------------------------------------

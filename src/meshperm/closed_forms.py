@@ -318,10 +318,8 @@ def a33_polynomial(n: int) -> JointTable:
 def _a33_entry(n: int, k: int, l: int) -> int:
     if k < 0 or l < 0:
         return 0
-    if n == 2:
-        return 2 if (k, l) == (0, 0) else 0
-    if n == 3:
-        return {(0, 0): 4, (1, 0): 1, (0, 1): 1}.get((k, l), 0)
+    if n <= 3:
+        return a33_polynomial(n).entry(k, l)
     return (
         (n - 2) * _a33_entry(n - 1, k, l)
         + _a33_entry(n - 1, k - 1, l)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from typing import Iterator, Sequence
 
 from . import perms
@@ -63,9 +64,13 @@ def count_with_stat(n: int, k: int) -> int:
     >>> count_with_stat(3, 0)
     5
     """
-    return sum(
-        1 for e in enumerate_inversion_sequences(n) if adjacent_nonzero_pairs(e) == k
-    )
+    return _stat_counts(n)[k]
+
+
+@functools.lru_cache(maxsize=None)
+def _stat_counts(n: int) -> Counter:
+    """The statistic's counts over the inversion sequences of length n, in one pass."""
+    return Counter(map(adjacent_nonzero_pairs, enumerate_inversion_sequences(n)))
 
 
 @functools.lru_cache(maxsize=None)

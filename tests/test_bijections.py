@@ -57,13 +57,13 @@ def test_global_symmetry_maps_pass_harness():
 
 def test_map_s21_examples():
     pair = catalog.get_pair("S21")
-    assert bj.map_s21((3, 2, 1), pair.q1, pair.q2) == (1, 2, 3)
+    assert bj.iterated_swap((3, 2, 1), pair.q1, pair.q2)[0] == (1, 2, 3)
     # fixed on permutations avoiding both patterns
     for pi in perms.enumerate_sn(4):
         q1_free = mesh.count_occurrences(pi, pair.q1) == 0
         q2_free = mesh.count_occurrences(pi, pair.q2) == 0
         if q1_free and q2_free:
-            assert bj.map_s21(pi, pair.q1, pair.q2) == pi
+            assert bj.iterated_swap(pi, pair.q1, pair.q2)[0] == pi
 
 
 def test_iterated_swap_takes_the_lexicographically_first_occurrence():
@@ -87,7 +87,7 @@ def test_iterated_swap_takes_the_lexicographically_first_occurrence():
 def test_map_s21_domain_error():
     pair = catalog.get_pair("S21")
     with pytest.raises(bj.DomainError):
-        bj.map_s21((1, 2, 3), pair.q1, pair.q2)
+        bj.iterated_swap((1, 2, 3), pair.q1, pair.q2)
 
 
 def test_map_s21_image_avoids_q2_and_terminates():
@@ -106,14 +106,17 @@ def test_map_s21_image_avoids_q2_and_terminates():
 def test_s21_harness_reports_noninjectivity_honestly():
     # the literal iterated swap is not injective: 3241 and 4213 collide on
     # 1243, so the harness must fail with that diagnosis while still seeing
-    # equal avoider counts on both sides.
+    # equal avoider counts on both sides.  S21 has no occurrence swapper in
+    # MAPS: its own harness checks the iterated swap, under either case.
     pair = catalog.get_pair("S21")
-    a = bj.map_s21(perms.parse_perm("3241"), pair.q1, pair.q2)
-    b = bj.map_s21(perms.parse_perm("4213"), pair.q1, pair.q2)
+    a = bj.iterated_swap(perms.parse_perm("3241"), pair.q1, pair.q2)[0]
+    b = bj.iterated_swap(perms.parse_perm("4213"), pair.q1, pair.q2)[0]
     assert a == b == perms.parse_perm("1243")
-    report = bj.verify_swap_bijection("S21", 4)
-    assert not report.passed
+    assert "S21" not in bj.MAPS
+    report = bj.verify_swap_bijection("s21", 4)
+    assert not report.passed and report.map == "S21"
     assert report.counterexample == "map is not injective"
+    assert report.stats["collision"] == ["3241", "4213", "1243"]
     assert report.stats["domain_size"] == report.stats["q2_avoiders"] == 19
     assert report.stats["image_size"] == 18
 

@@ -1,8 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from meshperm import checks, cli, closed_forms, dist
+from meshperm import catalog, checks, cli, closed_forms, dist
 
 
 def run(capsys, *argv):
@@ -195,9 +197,21 @@ def test_verify_sweeps_once_per_n(capsys, monkeypatch):
     assert code == 0 and calls == [2, 3, 4, 5]
 
 
-def test_verify_unknown_pair(capsys):
-    code, _, err = run(capsys, "verify", "--pairs", "S99", "--n", "3")
-    assert code == 2 and "unknown pair id" in err
+@pytest.mark.parametrize(
+    "argv", ["table Z9 3", "export --pairs Z9 --n 3", "verify --pairs Z9 --n 3"]
+)
+def test_verify_unknown_pair(argv, capsys):
+    # Every command resolves a pair id through the catalog, with its message.
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err == "error: unknown catalog pair 'Z9' (expected S1..S22 or A1..A36)\n"
+
+
+def test_catalog_checks_take_pair_ids_in_either_case():
+    records = [checks.run("symmetric", range(2, 4), pairs=[pid]) for pid in ("s19", "S19")]
+    for r in records:
+        del r["seconds"]
+    assert records[0] == records[1] and records[0]["pass"]
 
 
 def test_crosscheck(capsys):
@@ -312,6 +326,32 @@ def test_catalog_validate(capsys):
     assert "catalog validate: ok" in out
 
 
+def test_catalog_validate_json(capsys):
+    code, out, _ = run(capsys, "catalog", "validate", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report.keys() == {"pairs", "checks", "pass"}
+    assert report["pairs"] == 58 and report["pass"] is True
+    # 17 chains from both slots of their start, and 24 internal symmetries
+    assert len(report["checks"]) == 17 * 2 + 24
+    assert all(r.keys() == {"name", "pass", "detail"} for r in report["checks"])
+
+
+def test_catalog_validate_names_a_broken_chain(capsys, tmp_path):
+    # A18 and A19 with each other's patterns: both lines stay valid pairs,
+    # but the chain A17 -c-> A18 no longer lands on the catalog entry.
+    lines = Path(catalog.__file__).with_name("catalog_data.txt").read_text().splitlines()
+    rows = {line.split()[0]: i for i, line in enumerate(lines) if line and not line.startswith("#")}
+    a18, a19 = (lines[rows[pid]].split() for pid in ("A18", "A19"))
+    lines[rows["A18"]] = " ".join(a18[:4] + a19[4:])
+    lines[rows["A19"]] = " ".join(a19[:4] + a18[4:])
+    path = tmp_path / "swapped.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "catalog", "validate", "--path", str(path))
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 1 and out.endswith("catalog validate: FAIL\n")
+    assert failed[0] == f"FAIL  A17.q1 -c-> A18.q2  (got {a18[5]}, catalog has {a19[5]})"
+
+
 def test_export_counts_a_repeated_pair_once(capsys, tmp_path):
     code, out, _ = run(
         capsys, "export", "--pairs", "S1,s1", "--n", "3", "--out", str(tmp_path),
@@ -387,3 +427,17 @@ def test_flags_a_command_ignores_are_usage_errors(argv, capsys):
         cli.main(argv.split())
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    # Every command in the README's CLI block is accepted by the parser.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("meshperm ")]
+    assert commands
+    parser = cli.build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
