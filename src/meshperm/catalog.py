@@ -172,9 +172,12 @@ def by_id(catalog: tuple[PatternPair, ...] | None = None) -> dict[str, PatternPa
     return {p.id: p for p in catalog}
 
 
+_index = functools.cache(by_id)  # the built-in catalog by id, built once; only read
+
+
 def get_pair(pid: str) -> PatternPair:
     try:
-        return by_id()[pid.upper()]
+        return _index()[pid.upper()]
     except KeyError:
         raise KeyError(f"unknown catalog pair {pid!r} (expected S1..S22 or A1..A36)")
 

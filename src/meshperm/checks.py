@@ -49,8 +49,7 @@ def _brute(n: int, workers: int, ids: tuple | None = None) -> dict[str, dist.Joi
     """Brute-force tables of the pairs ``ids`` over S_n, from one sweep; by
     default the pairs in the frames of :data:`ROUTES`."""
     ids = ids or tuple(pid for anchor in ROUTES for pid in _frame(anchor))
-    cat = catalog.by_id()
-    pairs = [(cat[pid].q1, cat[pid].q2) for pid in ids]
+    pairs = [(p.q1, p.q2) for p in map(catalog.get_pair, ids)]
     return dict(zip(ids, dist.joint_tables(n, pairs, workers=workers)))
 
 

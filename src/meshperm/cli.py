@@ -32,7 +32,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import bijections, catalog, checks, dist, mesh, perms
+from . import bijections, catalog, dist, mesh, perms
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -137,6 +137,7 @@ def _run_checks(command: str, args: argparse.Namespace, names, pairs=None, nonfa
     """Run the checks ``names`` over the n ranges ``--n`` gives them and
     report their records and a verdict that only the checks in
     ``nonfatal`` cannot fail."""
+    from . import checks
     if args.n < 2:
         raise ValueError(f"{command} needs --n >= 2, got {args.n}")
     runs = [checks.run(name, checks.CHECKS[name][1](args.n), args.workers, pairs) for name in names]
@@ -152,6 +153,7 @@ def _run_checks(command: str, args: argparse.Namespace, names, pairs=None, nonfa
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import checks  # only here: the CLI's other commands do without it
     _validated(args)
     pairs = [p.id for p in _selected_pairs(args.pairs)]
     # A failed conjecture is reported, and fails verify only under --strict.
@@ -160,6 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
+    from . import checks
     _validated(args)
     return _run_checks("crosscheck", args, checks.CROSSCHECK)
 

@@ -11,21 +11,21 @@ prints it.  Closed forms, recurrences and split tables use this one type.
 Every table comes from one sweep (:func:`_sweep`), a depth-first walk of
 the prefix tree of S_n, which counts the occurrences of many patterns in
 packed 8-bit fields, so C(n, m) <= 255 for each pattern length m.  Its
-jobs are first-entry subtrees that also count the patterns' complements,
-reverses and reverse-complements, so each stands for other leaves too
-(:func:`_walk`); the partial tallies are summed, as :func:`merge` sums
-whole tables, so results do not depend on the schedule.
+jobs are first-entry subtrees that count the distinct images of the pairs
+under c, r and rc too, so each stands for other leaves (:func:`_walk`);
+the partial tallies are summed, as :func:`merge` sums whole tables, so
+results do not depend on the schedule.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
+import operator
+import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -156,91 +156,98 @@ class _Fields(dict):
 
 
 def _walk(job) -> Counter:
-    """Count the keys ``cells(pi, counts)`` lists for each pi in S_n with
-    first entry ``first``, counts[i] being the occurrences of patterns[i].
-    A node of the prefix tree carries the partial matches of each tau and
-    the packed counts of the occurrences its prefix completes: the entries
-    to come lie in their last column, so their masks are known at once.
-    The patterns' images under c, then r, are counted too: q occurs in
-    c(pi) as c(q) in pi and in r(pi) as r(q) in pi, so a leaf also reports
-    c(pi), r(pi) and rc(pi).  So only leaves whose last entry b has
-    first < b <= n + 1 - first are walked; at b = n + 1 - first, r(pi) has
-    the ends of c(pi) and rc(pi) is a leaf too, so neither is reported.
-    """
-    n, patterns, cells, first = job
-    p = len(patterns)
-    for op in "cr":
-        patterns = [*patterns, *map(mesh.PATTERN_OPS[op], patterns)]
-    slots: dict[Perm, list[tuple[int, int]]] = {}
-    for i, q in enumerate(patterns):
-        slots.setdefault(q.tau, []).append((8 * i, mesh.shading_mask(q)))
-    taus = [(mesh.extension_bounds(tau), _Fields(s, (len(tau) + 1) ** 2)) for tau, s in slots.items()]
+    """Count (j, k, l), input pair j having counts (k, l), over the pi in
+    S_n with first entry ``first``; with ``classify``, (classify(pi), k, l).
+    Image i (1, c, r, rc) of pair j is ``pairs[slot[i * p + j]]``.  A node
+    carries each tau's partial matches and the packed counts of the
+    occurrences it completes (the entries to come lie in their last column).
+    q occurs in c(pi) as c(q) in pi and in r(pi) as r(q) in pi, so a leaf
+    also reports c(pi), r(pi) and rc(pi), and only leaves whose last entry b
+    has first < b <= n + 1 - first are walked; at b = n + 1 - first (tag 1),
+    r(pi) has the ends of c(pi) and rc(pi) is walked, so neither is reported.
+    A leaf tallies its 16-bit words (k, l) as ``slot << 17 | tag << 16 | word``."""
+    n, pairs, slot, classify, first = job
+    by_tau: dict[Perm, list[tuple[int, int]]] = {}
+    for i, q in enumerate(q for pair in pairs for q in pair):
+        by_tau.setdefault(q.tau, []).append((8 * i, mesh.shading_mask(q)))
+    taus = [(mesh.extension_bounds(tau), _Fields(s, (len(tau) + 1) ** 2)) for tau, s in by_tau.items()]
     hi = n + 1 - first
-    tally, path = Counter(), []
+    offsets = [[s << 17 | tag << 16 for s in range(len(pairs))] for tag in (0, 1)]
+    tally, path, seen = Counter(), [], [0]
 
     def grow(v: int, unused: list[int], states: list, total: int, ends: int) -> None:
         path.append(v)
+        seen.append(seen[-1] | 1 << v)
         d = len(path)
         children = []
         for (bounds, fields), levels in zip(taus, states):
             kids, done = mesh.extend_matches(levels, bounds, v, d, n - d)
-            if done:
-                seq = path + unused
-                total += sum(fields[mesh.filled_boxes(seq, pos, vals)] for pos, vals in done)
+            for pos, vals in done:
+                total += fields[mesh.filled_boxes(seen, pos, vals)]
             children.append(kids)
         for i, w in enumerate(unused):
             left = ends - (first < w <= hi)  # allowed last entries below w
             if left or not unused[1:]:  # else no leaf below w is walked
                 grow(w, unused[:i] + unused[i + 1:], children, total, left)
         if not unused:
-            counts = total.to_bytes(len(patterns), "little")
-            images = [path, [n + 1 - w for w in path]]
-            if v != hi:
-                images += [image[::-1] for image in images]
-            for i, image in enumerate(images):
-                tally.update(cells(image, counts[i * p:i * p + p]))
+            counts = total.to_bytes(2 * len(pairs), "little")
+            if classify is None:
+                tally.update(map(operator.or_, offsets[v == hi], memoryview(counts).cast("H")))
+            else:
+                images = [path, [n + 1 - w for w in path]]
+                images += [image[::-1] for image in images if v != hi]
+                tally.update((classify(tuple(image)), *counts[2 * s:2 * s + 2]) for image, s in zip(images, slot))
         path.pop()
+        seen.pop()
 
     rest = [w for w in range(1, n + 1) if w != first]
-    roots = [[[((), (0, n + 1))]] + [[]] * (len(tau) - 1) for tau in slots]
+    roots = [[[((), (0, n + 1))]] + [[]] * (len(tau) - 1) for tau in by_tau]
     grow(first, rest, roots, 0, sum(first < w <= hi for w in rest))
     del grow  # it refers to itself: free the subtree's masks now
-    return tally
+    if classify is not None:
+        return tally
+    p, by_pair = len(slot) // 4, Counter()
+    owners: list[list[int]] = [[] for _ in range(2 * len(pairs))]  # by slot << 1 | tag
+    for at, s in enumerate(slot + slot[:2 * p]):  # tag 1: the identity and c images
+        owners[2 * s + (at >= 4 * p)].append(at % p)
+    for key, c in tally.items():
+        k, l = (key & 0xFFFF).to_bytes(2, sys.byteorder)  # the word's bytes in memory order
+        for j in owners[key >> 16]:
+            by_pair[j, k, l] += c
+    return by_pair
 
 
-def _sweep(n: int, patterns: Sequence[MeshPattern], cells, workers: int) -> Counter:
+def _sweep(n: int, pairs: Sequence[Pair], workers: int = 1, classify=None) -> Counter:
     """:func:`_walk` over all of S_n, one job per first entry f <= n/2; for
     n <= 1 there is none, and the one permutation is counted directly.  With
-    ``workers`` > 1 the jobs go to a process pool, so ``cells`` must pickle."""
+    ``workers`` > 1 the jobs go to a process pool."""
     perms.check_capacity(n)
-    m = max((q.length for q in patterns), key=lambda m: math.comb(n, m), default=0)
+    m = max((q.length for pair in pairs for q in pair), key=lambda m: math.comb(n, m), default=0)
     if math.comb(n, m) > 255:  # the largest count of a length-m pattern
         raise ValueError(f"n={n}, m={m}: C(n, m)={math.comb(n, m)} overflows the 8-bit counts")
     if n <= 1:
         pi = tuple(range(1, n + 1))
-        return Counter(cells(pi, bytes(mesh.count_occurrences(pi, q) for q in patterns)))
-    jobs = [(n, patterns, cells, first) for first in range(1, n // 2 + 1)]
+        counts = [mesh.count_occurrences(pi, q) for pair in pairs for q in pair]
+        return Counter(zip(range(len(pairs)) if classify is None else [classify(pi)], counts[0::2], counts[1::2]))
+    images = [tuple(mesh.apply_pattern_ops(q, w) for q in pair) for w in ("", "c", "r", "cr") for pair in pairs]
+    index = {pair: s for s, pair in enumerate(dict.fromkeys(images))}
+    jobs = [(n, list(index), list(map(index.get, images)), classify, f) for f in range(1, n // 2 + 1)]
     if workers <= 1 or len(jobs) < 2:
         return sum(map(_walk, jobs), Counter())
+    from concurrent.futures import ProcessPoolExecutor  # only here: it is slow to import
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return sum(pool.map(_walk, jobs), Counter())
 
 
-def _pair_cells(pi, counts: bytes):  # the patterns are listed pair by pair
-    return zip(itertools.count(), counts[0::2], counts[1::2])
-
-
-def joint_tables(
-    n: int, pairs: Sequence[Pair], workers: int = 1
-) -> list[JointTable]:
+def joint_tables(n: int, pairs: Sequence[Pair], workers: int = 1) -> list[JointTable]:
     """Brute-force joint tables over S_n for many pattern pairs in one sweep.
 
     All pairs share the per-permutation bookkeeping, so verifying the whole
     catalog at one n costs little more than verifying a single pair.
     """
     tables: list[dict[tuple[int, int], int]] = [{} for _ in pairs]
-    for (i, k, l), c in _sweep(n, [q for pair in pairs for q in pair], _pair_cells, workers).items():
-        tables[i][k, l] = c
+    for (j, k, l), c in _sweep(n, pairs, workers).items():
+        tables[j][k, l] = c
     return [JointTable.from_dict(n, t) for t in tables]
 
 
@@ -256,8 +263,7 @@ def split_distribution(
     the position of the largest entry) against recurrence-built tables.
     """
     tallies: dict[Hashable, dict[tuple[int, int], int]] = {}
-    split = _sweep(n, (q1, q2), lambda pi, kl: ((classify(tuple(pi)), *kl),), 1)
-    for (key, k, l), c in split.items():
+    for (key, k, l), c in _sweep(n, [(q1, q2)], 1, classify).items():
         tallies.setdefault(key, {})[k, l] = c
     return {key: JointTable.from_dict(n, t) for key, t in sorted(tallies.items(), key=lambda kv: str(kv[0]))}
 
@@ -269,14 +275,14 @@ def avoider_count(n: int, q: MeshPattern) -> int:
     >>> avoider_count(2, parse_pattern("123|"))
     2
     """
-    return _sweep(n, (q,), lambda pi, counts: counts, 1)[0]
+    return _sweep(n, [(q, q)])[0, 0, 0]
 
 
 def distribution(n: int, q: MeshPattern) -> list[int]:
     """Single-pattern occurrence distribution: entry k counts permutations
     with exactly k occurrences of ``q``."""
-    tally = _sweep(n, (q,), lambda pi, counts: counts, 1)
-    return [tally[k] for k in range(max(tally) + 1)]
+    tally = _sweep(n, [(q, q)])
+    return [tally[0, k, k] for k in range(max(k for _, k, _ in tally) + 1)]
 
 
 # ---------------------------------------------------------------------------

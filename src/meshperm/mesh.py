@@ -18,10 +18,10 @@ of chosen entries by construction.
 :func:`is_occurrence` checks one position tuple by a direct scan of each
 shaded box; it is the reference semantics.  The occurrence engine is one
 step, :func:`extend_matches`, which appends one entry to a prefix, and
-:func:`filled_boxes`, an occurrence's boxes as one bitmask that serves
-every shading on its pattern.  The S_n sweep in :mod:`meshperm.dist`
-takes the step at every node of the prefix tree of S_n;
-:func:`occurrences` takes it at every position of one permutation.
+:func:`filled_boxes`, an occurrence's boxes, read from the value bitsets
+of the prefixes, as one bitmask that serves every shading on its pattern.
+The S_n sweep in :mod:`meshperm.dist` takes the step at every node of the
+prefix tree of S_n; :func:`occurrences` at every position of one permutation.
 
 Pattern text form (used by the catalog file and the CLI):
 ``<tau>|<i1,j1;i2,j2;...>`` with boxes semicolon-separated, e.g.
@@ -31,7 +31,6 @@ Pattern text form (used by the catalog file and the CLI):
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -251,24 +250,40 @@ def extend_matches(levels: list, bounds: tuple, v: int, d: int, left: int) -> tu
     return after, done
 
 
-def filled_boxes(seq: Sequence[int], positions: tuple[int, ...], values: tuple[int, ...]) -> int:
-    """Bit (m+1)*i + j is set when box (i, j) of the occurrence at
-    ``positions`` holds an entry of ``seq``, the permutation in order; the
-    entries after the last chosen position may come in any order.
+class _Rows(dict):
+    """``column | chosen << s`` -> bit j set when a value in the bitset
+    ``column`` has j values of ``chosen`` below it; ``chosen`` holds the
+    sentinel s = n+1, so the key's length tells s, whatever n."""
+    def __missing__(self, key: int) -> int:
+        s = key.bit_length() // 2
+        chosen, column = key >> s, key & (1 << s) - 1
+        self[key] = rows = sum({1 << (chosen & (1 << v) - 1).bit_count() for v in range(s) if column >> v & 1})
+        return rows
 
-    >>> filled_boxes((2, 3, 1), (1, 2), (0, 4, 2, 3))
+
+_ROWS = _Rows()  # a dict lookup: cheaper than a call to a cached function
+
+
+def filled_boxes(seen: Sequence[int], positions: tuple[int, ...], values: tuple[int, ...]) -> int:
+    """Bit (m+1)*i + j is set when box (i, j) of the occurrence at
+    ``positions`` holds an entry, ``seen[d]`` being the bitset of the first
+    d values: column i holds ``seen[p_{i+1} - 1] ^ seen[p_i]``, the last
+    the values not seen by p_m, and its rows are one cached lookup.
+
+    >>> filled_boxes([0, 0b100, 0b1100], (1, 2), (0, 4, 2, 3))
     64
     """
-    chosen = sorted(values[2:])
+    high = 0  # the chosen values and n+1, shifted past the column
+    for v in values[1:]:
+        high |= 1 << v
+    high <<= values[1]
     side = len(positions) + 1
-    at = set(positions)
-    taken = base = 0
-    for p, v in enumerate(seq, 1):
-        if p in at:
-            base += side
-        else:
-            taken |= 1 << base + bisect_left(chosen, v)
-    return taken
+    filled = shift = prev = 0
+    for p in positions:
+        filled |= _ROWS[seen[p - 1] ^ prev | high] << shift
+        prev = seen[p]
+        shift += side
+    return filled | _ROWS[(1 << values[1]) - 2 ^ prev | high] << shift
 
 
 def occurrences(pi: Perm, pat: MeshPattern) -> Iterator[tuple[int, ...]]:
@@ -283,10 +298,12 @@ def occurrences(pi: Perm, pat: MeshPattern) -> Iterator[tuple[int, ...]]:
     bounds = extension_bounds(pat.tau)
     levels = [[((), (0, n + 1))]] + [[]] * (len(bounds) - 1)
     shaded = shading_mask(pat)
+    seen = [0]
     for d, v in enumerate(pi, 1):
+        seen.append(seen[-1] | 1 << v)
         levels, done = extend_matches(levels, bounds, v, d, n - d)
         for pos, vals in done:
-            if not shaded & filled_boxes(pi, pos, vals):
+            if not shaded & filled_boxes(seen, pos, vals):
                 yield pos
 
 

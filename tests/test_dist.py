@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import itertools
 import json
@@ -127,12 +128,12 @@ def test_catalog_tables_do_not_depend_on_workers(monkeypatch):
     # starts no more processes than there are jobs.
     sizes = []
 
-    class Pool(dist.ProcessPoolExecutor):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(dist, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     pairs = [(p.q1, p.q2) for p in catalog.builtin_catalog()]
     for n in (6, 7):
         serial = joint_tables(n, pairs, workers=1)
@@ -159,7 +160,10 @@ def test_sweep_walks_one_subtree_of_each_complementary_pair(monkeypatch):
             jobs.clear()
             assert joint_tables(n, [(q1, q2)])[0].total() == math.factorial(n)
             assert [first for *_, first in jobs] == list(range(1, n // 2 + 1)), (n, str(q1))
-            assert all(list(patterns) == [q1, q2] for _, patterns, *_ in jobs)
+            images = [(q1, q2)]
+            for op in "cr":
+                images += [tuple(map(mesh.PATTERN_OPS[op], pair)) for pair in images]
+            assert all(pairs == list(dict.fromkeys(images)) for _, pairs, *_ in jobs)
 
 
 def leaves_walked(monkeypatch, n, pairs):
@@ -252,6 +256,12 @@ def test_occurrences_match_reference_scan():
             pi = tuple(rng.sample(range(1, n + 1), n))
             want = sorted(reference_positions(pi, q), key=lambda pos: pos[::-1])
             assert list(mesh.occurrences(pi, q)) == want, (pi, str(q), want)
+    # The box rows of every n share one cache; its keys hold n, also past 15.
+    for n in (16, 17, 18):
+        q = random_pattern(rng)
+        pi = tuple(rng.sample(range(1, n + 1), n))
+        want = sorted(reference_positions(pi, q), key=lambda pos: pos[::-1])
+        assert list(mesh.occurrences(pi, q)) == want, (pi, str(q), want)
 
 
 def test_first_occurrence_needs_only_its_prefix(monkeypatch):
@@ -287,15 +297,35 @@ def test_sweep_matches_reference_scan_on_catalog_sample():
 def reference_boxes(pi, tau):
     """Each classical occurrence of tau in pi, with a mask of its empty
     boxes: bit (m+1)*i + j when the reference scan finds box (i, j) empty."""
-    side = len(tau) + 1
     return [
-        (pos, sum(
-            1 << side * i + j
-            for i, j in itertools.product(range(side), repeat=2)
-            if mesh.is_occurrence(pi, pos, mesh.pattern(tau, [(i, j)]), table=None)
-        ))
-        for pos in reference_positions(pi, mesh.pattern(tau, ()))
+        (pos, sum(bit for bit, q in one_box_patterns(tau) if mesh.is_occurrence(pi, pos, q, table=None)))
+        for pos in classical_positions(pi, len(tau)).get(tau, ())
     ]
+
+
+@functools.lru_cache(maxsize=None)
+def one_box_patterns(tau):
+    """(bit (m+1)*i + j, tau with box (i, j) alone shaded) for each box."""
+    side = len(tau) + 1
+    return [(1 << side * i + j, mesh.pattern(tau, [(i, j)]))
+            for i, j in itertools.product(range(side), repeat=2)]
+
+
+def test_filled_boxes_match_reference_scan():
+    # Every classical occurrence of every tau of length 1-4 in S_n, n <= 6:
+    # the mask read from the prefix value sets is the complement of the
+    # boxes the reference scan finds empty.
+    for n in range(7):
+        for pi in perms.enumerate_sn(n):
+            seen = [0]
+            for v in pi:
+                seen.append(seen[-1] | 1 << v)
+            for m in range(1, 5):
+                for tau in itertools.permutations(range(1, m + 1)):
+                    for pos, empty in reference_boxes(pi, tau):
+                        vals = (0, n + 1, *(pi[p - 1] for p in pos))
+                        full = (1 << (m + 1) ** 2) - 1
+                        assert mesh.filled_boxes(seen, pos, vals) == full & ~empty, (pi, pos)
 
 
 def reference_tables(n, pairs):
@@ -352,6 +382,40 @@ def reference_count(pi, q):
     """Occurrences of q in pi by the reference scan."""
     return sum(mesh.is_occurrence(pi, pos, q, table=None)
                for pos in classical_positions(pi, q.length).get(q.tau, ()))
+
+
+def test_repeated_and_image_pairs_match_reference_scan():
+    # A pair listed twice and its c and r images: the sweep counts each
+    # distinct image pair once and adds it to every input pair it is an
+    # image of, with and without the pool.
+    rng = random.Random(1119)
+
+    def shaded(tau):
+        boxes = [(i, j) for i in range(len(tau) + 1) for j in range(len(tau) + 1)]
+        return mesh.pattern(tau, rng.sample(boxes, rng.randint(0, len(boxes))))
+
+    p = (shaded((1, 2)), shaded((1,)))
+    c, r = mesh.complement_pattern, mesh.reverse_pattern
+    pairs = [p, (c(p[0]), c(p[1])), p, (r(p[0]), r(p[1]))]
+    for n in range(8):
+        tallies = [Counter() for _ in pairs]
+        for pi in perms.enumerate_sn(n):
+            counts = {q: reference_count(pi, q) for pair in pairs for q in pair}
+            for tally, (q1, q2) in zip(tallies, pairs):
+                tally[counts[q1], counts[q2]] += 1
+        want = [JointTable.from_dict(n, t) for t in tallies]
+        for workers in (1, 2):
+            assert joint_tables(n, pairs, workers=workers) == want, (n, workers)
+
+
+def test_catalog_jobs_carry_the_distinct_image_pairs(monkeypatch):
+    # The r and rc images of the 58 catalog pairs are again identity or c
+    # images, so each job counts 116 pairs, 232 patterns, not 464.
+    walk, jobs = dist._walk, []
+    monkeypatch.setattr(dist, "_walk", lambda job: jobs.append(job) or walk(job))
+    joint_tables(4, [(p.q1, p.q2) for p in catalog.builtin_catalog()])
+    assert len(jobs) == 2
+    assert all(len(pairs) == 116 for _, pairs, *_ in jobs)
 
 
 def test_sweeps_carry_no_packed_counts_between_calls():
