@@ -161,14 +161,14 @@ def _transposes(pids: list[str], tables: dict) -> Iterator[tuple]:
             yield pid, k, l, t.entry(l, k), t.entry(k, l)
 
 
-def symmetric(n: int, workers: int, selected: tuple, covered: list) -> Iterator[tuple]:
-    """proven pairs: joint table == its transpose"""
-    yield from _transposes(covered, _brute(n, workers, selected))
+def symmetry(status: str):
+    """The catalog check of each covered table against its transpose; ``status`` titles it."""
 
+    def check(n: int, workers: int, selected: tuple, covered: list) -> Iterator[tuple]:
+        yield from _transposes(covered, _brute(n, workers, selected))
 
-def conjectures(n: int, workers: int, selected: tuple, covered: list) -> Iterator[tuple]:
-    """conjectured pairs: joint table == its transpose"""
-    yield from _transposes(covered, _brute(n, workers, selected))
+    check.__doc__ = f"{status} pairs: joint table == its transpose"
+    return check
 
 
 def never_both(n: int, workers: int, selected: tuple, covered: list) -> Iterator[tuple]:
@@ -203,8 +203,8 @@ CHECKS = {
     "marginals": (marginals, lambda n_max: range(2, n_max + 1)),
     "invseq": (inversion_sequences, lambda n_max: range(2, min(n_max, 8) + 1)),
     "stirling-convolution": (stirling_convolution, lambda n_max: range(11)),
-    "symmetric": (symmetric, lambda n_max: range(2, n_max + 1)),
-    "conjectures": (conjectures, lambda n_max: range(2, n_max + 1)),
+    "symmetric": (symmetry("proven"), lambda n_max: range(2, n_max + 1)),
+    "conjectures": (symmetry("conjectured"), lambda n_max: range(2, n_max + 1)),
     "never-both": (never_both, lambda n_max: range(2, n_max + 1)),
     "frames": (frame_tables, lambda n_max: range(2, n_max + 1)),
 }

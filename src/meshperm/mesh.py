@@ -322,7 +322,9 @@ def count_occurrences(pi: Perm, pat: MeshPattern) -> int:
 
 
 def joint_counts(pi: Perm, q1: MeshPattern, q2: MeshPattern) -> tuple[int, int]:
-    """Occurrence counts of both patterns of a pair."""
+    """Occurrence counts of both patterns of a pair.  No module of the package
+    calls it; it stays because the benchmark's tracer wraps it by name
+    (``tests/test_perfbench.py``)."""
     return count_occurrences(pi, q1), count_occurrences(pi, q2)
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from meshperm import bijections as bj, catalog, mesh, perms
+from meshperm import bijections as bj, catalog, dist, mesh, perms
 
 
 def test_map_s9_rules():
@@ -148,3 +148,63 @@ def test_unknown_map_errors(map_id):
     # An unknown id is reported as it was given, not case-folded.
     with pytest.raises(KeyError, match=f"unknown map '{map_id}'"):
         bj.verify_swap_bijection(map_id, 4)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda pi, q1, q2: pi[1:] + pi[:1], "not an involution at 1234"),
+    # S11's map is an involution, but it does not swap S9's counts
+    (lambda pi, q1, q2: bj.map_s11(pi), "1234 has counts (1,0) but its image 4231 has (0,0)"),
+])
+def test_swapper_failures_name_the_counterexample(monkeypatch, bad, message):
+    monkeypatch.setitem(bj.MAPS, "S9", bad)
+    report = bj.verify_swap_bijection("S9", 4)
+    assert not report.passed and report.stats == {}
+    assert report.counterexample == message
+
+
+def test_the_harness_counts_through_one_sweep(monkeypatch):
+    # Every count the harness reads comes from one dist.split_distribution
+    # sweep; no second counting path over S_n may be reached.  n >= 2: the
+    # sweep counts the one permutation of S_0 or S_1 with count_occurrences.
+    def refuse(*args):
+        raise AssertionError("a second counting path over S_n")
+
+    for module, name in ((mesh, "joint_counts"), (mesh, "count_occurrences"), (dist, "avoider_count")):
+        monkeypatch.setattr(module, name, refuse)
+    sweeps, split = [], dist.split_distribution
+    monkeypatch.setattr(dist, "split_distribution", lambda *args: sweeps.append(args[0]) or split(*args))
+    for pid in ("S9", "S11", "S13", "S15", "S17", "S1", "A3"):
+        sweeps.clear()
+        report = bj.verify_swap_bijection(pid, 5)
+        assert report.passed and sweeps == [5], (pid, report.counterexample, sweeps)
+    sweeps.clear()
+    report = bj.verify_swap_bijection("S21", 4)
+    assert report.stats["collision"] == ["3241", "4213", "1243"] and sweeps == [4]
+
+
+# verify_swap_bijection(pid, 6).to_json(), byte for byte: the reports are
+# output, and the benchmark digests them.
+REPORTS_AT_6 = {
+    "S9": '{"counterexample": null, "map": "S9", "n": 6, "pair": "S9", "pass": true, '
+          '"stats": {"fixed_points": 708, "moved": 12, "size": 720}}',
+    "S11": '{"counterexample": null, "map": "S11", "n": 6, "pair": "S11", "pass": true, '
+           '"stats": {"fixed_points": 708, "moved": 12, "size": 720}}',
+    "S13": '{"counterexample": null, "map": "S13", "n": 6, "pair": "S13", "pass": true, '
+           '"stats": {"fixed_points": 672, "moved": 48, "size": 720}}',
+    "S15": '{"counterexample": null, "map": "S15", "n": 6, "pair": "S15", "pass": true, '
+           '"stats": {"fixed_points": 672, "moved": 48, "size": 720}}',
+    "S17": '{"counterexample": null, "map": "S17", "n": 6, "pair": "S17", "pass": true, '
+           '"stats": {"fixed_points": 678, "moved": 42, "size": 720}}',
+    "S1": '{"counterexample": null, "map": "S1", "n": 6, "pair": "S1", "pass": true, '
+          '"stats": {"fixed_points": 0, "moved": 720, "size": 720}}',
+    "A3": '{"counterexample": null, "map": "A3", "n": 6, "pair": "A3", "pass": true, '
+          '"stats": {"fixed_points": 0, "moved": 720, "size": 720}}',
+    "S21": '{"counterexample": "map is not injective", "map": "S21", "n": 6, "pair": "S21", '
+           '"pass": false, "stats": {"collision": ["325641", "425613", "125643"], '
+           '"domain_size": 571, "image_size": 545, "max_swaps": 2, "q2_avoiders": 571}}',
+}
+
+
+@pytest.mark.parametrize("pid", list(REPORTS_AT_6))
+def test_report_bytes_at_n6(pid):
+    assert bj.verify_swap_bijection(pid, 6).to_json() == REPORTS_AT_6[pid]
