@@ -17,8 +17,9 @@ Two kinds of map live here:
 
 A map is named by the id of the pair it proves.  Every map is checked by
 :func:`verify_swap_bijection` on that pair, which reads each permutation's
-counts from the one sweep of S_n that builds every table, and so holds n!
-entries; failures are returned as report data, never hidden.
+counts from the one sweep of S_n that builds every table, as 2 * n! bytes
+indexed by rank (:func:`meshperm.dist.counts_by_rank`); failures are
+returned as report data, never hidden.
 """
 
 from __future__ import annotations
@@ -187,55 +188,49 @@ class BijectionReport:
         return json.dumps(obj, sort_keys=True)
 
 
-def _counts(n: int, q1: MeshPattern, q2: MeshPattern) -> dict[Perm, tuple[int, int]]:
-    """Each pi in S_n -> its counts (k, l) of (q1, q2), from one sweep."""
-    split = dist.split_distribution(n, q1, q2, lambda pi: pi)
-    return {pi: next(t.cells())[:2] for pi, t in split.items()}
-
-
 def _verify_swapper(
     fn: Callable[[Perm, MeshPattern, MeshPattern], Perm],
     n: int,
     q1: MeshPattern,
     q2: MeshPattern,
 ) -> tuple[bool, str | None, dict]:
-    counts = _counts(n, q1, q2)
+    counts = dist.counts_by_rank(n, q1, q2)
     fixed = 0
-    for pi in perms.enumerate_sn(n):
+    for r, pi in enumerate(perms.enumerate_sn(n)):
         sigma = fn(pi, q1, q2)
         if fn(sigma, q1, q2) != pi:
             return False, f"not an involution at {perms.format_perm(pi)}", {}
-        (k, l), (k2, l2) = counts[pi], counts[sigma]
+        s = 2 * (r if sigma == pi else perms.rank(sigma))
+        (k, l), (k2, l2) = counts[2 * r:2 * r + 2], counts[s:s + 2]
         if (k2, l2) != (l, k):
             return False, (f"{perms.format_perm(pi)} has counts ({k},{l}) but its image "
                            f"{perms.format_perm(sigma)} has ({k2},{l2})"), {}
-        if sigma == pi:
-            fixed += 1
+        fixed += sigma == pi
     size = factorial(n)
     return True, None, {"fixed_points": fixed, "moved": size - fixed, "size": size}
 
 
 def _verify_wilf(n: int, q1: MeshPattern, q2: MeshPattern) -> tuple[bool, str | None, dict]:
-    counts = _counts(n, q1, q2)
+    counts = dist.counts_by_rank(n, q1, q2)
     first_preimage: dict[Perm, Perm] = {}
     domain_size = 0
     collision = None
     max_steps = 0
-    for pi in perms.enumerate_sn(n):
-        if counts[pi][0]:
+    for r, pi in enumerate(perms.enumerate_sn(n)):
+        if counts[2 * r]:
             continue
         domain_size += 1
         sigma, steps = iterated_swap(pi, q1, q2)
         max_steps = max(max_steps, steps)
         if steps > comb(n, 3):
             return False, f"{perms.format_perm(pi)} needed {steps} swaps", {}
-        if counts[sigma][1]:
+        if counts[2 * (r if sigma == pi else perms.rank(sigma)) + 1]:
             return False, (f"image {perms.format_perm(sigma)} of {perms.format_perm(pi)} "
                            "still contains the second pattern"), {}
         earlier = first_preimage.setdefault(sigma, pi)
         if collision is None and earlier != pi:
             collision = [perms.format_perm(p) for p in (earlier, pi, sigma)]
-    q2_avoiders = sum(l == 0 for _, l in counts.values())
+    q2_avoiders = counts[1::2].count(0)
     stats = {
         "domain_size": domain_size,
         "image_size": len(first_preimage),

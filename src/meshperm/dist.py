@@ -157,7 +157,7 @@ class _Fields(dict):
 
 def _walk(job) -> Counter:
     """Count (j, k, l), input pair j having counts (k, l), over the pi in
-    S_n with first entry ``first``; with ``classify``, (classify(pi), k, l).
+    S_n with first entry ``first``; with ``out``, out[perms.rank(pi)] = (k, l).
     Image i (1, c, r, rc) of pair j is ``pairs[slot[i * p + j]]``.  A node
     carries each tau's partial matches and the packed counts of the
     occurrences it completes (the entries to come lie in their last column).
@@ -166,7 +166,7 @@ def _walk(job) -> Counter:
     has first < b <= n + 1 - first are walked; at b = n + 1 - first (tag 1),
     r(pi) has the ends of c(pi) and rc(pi) is walked, so neither is reported.
     A leaf tallies its 16-bit words (k, l) as ``slot << 17 | tag << 16 | word``."""
-    n, pairs, slot, classify, first = job
+    n, pairs, slot, out, first = job
     by_tau: dict[Perm, list[tuple[int, int]]] = {}
     for i, q in enumerate(q for pair in pairs for q in pair):
         by_tau.setdefault(q.tau, []).append((8 * i, mesh.shading_mask(q)))
@@ -190,13 +190,14 @@ def _walk(job) -> Counter:
             if left or not unused[1:]:  # else no leaf below w is walked
                 grow(w, unused[:i] + unused[i + 1:], children, total, left)
         if not unused:
-            counts = total.to_bytes(2 * len(pairs), "little")
-            if classify is None:
-                tally.update(map(operator.or_, offsets[v == hi], memoryview(counts).cast("H")))
+            words = memoryview(total.to_bytes(2 * len(pairs), "little")).cast("H")
+            if out is None:
+                tally.update(map(operator.or_, offsets[v == hi], words))
             else:
                 images = [path, [n + 1 - w for w in path]]
                 images += [image[::-1] for image in images if v != hi]
-                tally.update((classify(tuple(image)), *counts[2 * s:2 * s + 2]) for image, s in zip(images, slot))
+                for image, s in zip(images, slot):
+                    out[perms.rank(image)] = words[s]
         path.pop()
         seen.pop()
 
@@ -204,8 +205,6 @@ def _walk(job) -> Counter:
     roots = [[[((), (0, n + 1))]] + [[]] * (len(tau) - 1) for tau in by_tau]
     grow(first, rest, roots, 0, sum(first < w <= hi for w in rest))
     del grow  # it refers to itself: free the subtree's masks now
-    if classify is not None:
-        return tally
     p, by_pair = len(slot) // 4, Counter()
     owners: list[list[int]] = [[] for _ in range(2 * len(pairs))]  # by slot << 1 | tag
     for at, s in enumerate(slot + slot[:2 * p]):  # tag 1: the identity and c images
@@ -217,10 +216,11 @@ def _walk(job) -> Counter:
     return by_pair
 
 
-def _sweep(n: int, pairs: Sequence[Pair], workers: int = 1, classify=None) -> Counter:
+def _sweep(n: int, pairs: Sequence[Pair], workers: int = 1, by_rank: bool = False) -> Counter | bytearray:
     """:func:`_walk` over all of S_n, one job per first entry f <= n/2; for
     n <= 1 there is none, and the one permutation is counted directly.  With
-    ``workers`` > 1 the jobs go to a process pool."""
+    ``workers`` > 1 the jobs go to a process pool.  With ``by_rank`` (one pair,
+    one worker) they fill 2 * n! bytes by rank instead, made after the checks."""
     perms.check_capacity(n)
     m = max((q.length for pair in pairs for q in pair), key=lambda m: math.comb(n, m), default=0)
     if math.comb(n, m) > 255:  # the largest count of a length-m pattern
@@ -228,12 +228,14 @@ def _sweep(n: int, pairs: Sequence[Pair], workers: int = 1, classify=None) -> Co
     if n <= 1:
         pi = tuple(range(1, n + 1))
         counts = [mesh.count_occurrences(pi, q) for pair in pairs for q in pair]
-        return Counter(zip(range(len(pairs)) if classify is None else [classify(pi)], counts[0::2], counts[1::2]))
+        return bytearray(counts) if by_rank else Counter(zip(range(len(pairs)), counts[0::2], counts[1::2]))
     images = [tuple(mesh.apply_pattern_ops(q, w) for q in pair) for w in ("", "c", "r", "cr") for pair in pairs]
     index = {pair: s for s, pair in enumerate(dict.fromkeys(images))}
-    jobs = [(n, list(index), list(map(index.get, images)), classify, f) for f in range(1, n // 2 + 1)]
+    out = memoryview(bytearray(2 * math.factorial(n))).cast("H") if by_rank else None
+    jobs = [(n, list(index), list(map(index.get, images)), out, f) for f in range(1, n // 2 + 1)]
     if workers <= 1 or len(jobs) < 2:
-        return sum(map(_walk, jobs), Counter())
+        tally = sum(map(_walk, jobs), Counter())
+        return tally if out is None else out.obj
     from concurrent.futures import ProcessPoolExecutor  # only here: it is slow to import
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return sum(pool.map(_walk, jobs), Counter())
@@ -251,19 +253,27 @@ def joint_tables(n: int, pairs: Sequence[Pair], workers: int = 1) -> list[JointT
     return [JointTable.from_dict(n, t) for t in tables]
 
 
+def counts_by_rank(n: int, q1: MeshPattern, q2: MeshPattern) -> bytearray:
+    """The counts of (q1, q2) in each pi in S_n, from one serial sweep:
+    bytes 2r and 2r + 1 are (k, l) for the pi of rank r (:func:`perms.rank`)."""
+    return _sweep(n, [(q1, q2)], by_rank=True)
+
+
 def split_distribution(
     n: int,
     q1: MeshPattern,
     q2: MeshPattern,
     classify: Callable[[Perm], Hashable],
 ) -> dict[Hashable, JointTable]:
-    """Joint tables of S_n partitioned by an arbitrary classifier.
+    """Joint tables of S_n partitioned by an arbitrary classifier: the
+    counts of :func:`counts_by_rank` grouped by classify(pi), in rank order.
 
     Used to check structural splits (e.g. by sign of the initial step, or by
     the position of the largest entry) against recurrence-built tables.
     """
+    counts = counts_by_rank(n, q1, q2)
     tallies: dict[Hashable, dict[tuple[int, int], int]] = {}
-    for (key, k, l), c in _sweep(n, [(q1, q2)], 1, classify).items():
+    for (key, k, l), c in Counter(zip(map(classify, perms.enumerate_sn(n)), counts[0::2], counts[1::2])).items():
         tallies.setdefault(key, {})[k, l] = c
     return {key: JointTable.from_dict(n, t) for key, t in sorted(tallies.items(), key=lambda kv: str(kv[0]))}
 

@@ -77,6 +77,19 @@ def enumerate_sn(n: int) -> Iterator[Perm]:
     return iter(itertools.permutations(range(1, n + 1)))
 
 
+def rank(perm: Sequence[int]) -> int:
+    """The index of ``perm`` in :func:`enumerate_sn`'s order (its Lehmer code).
+
+    >>> [rank(p) for p in enumerate_sn(3)]
+    [0, 1, 2, 3, 4, 5]
+    """
+    r, unseen = 0, (2 << len(perm)) - 2  # bits 1..n: the values still to come
+    for v in perm:  # digit: the values to come below v, in base: all values to come
+        r = r * unseen.bit_count() + (unseen & (1 << v) - 1).bit_count()
+        unseen ^= 1 << v
+    return r
+
+
 def complement(perm: Perm) -> Perm:
     """Replace each entry v by n+1-v.
 

@@ -163,16 +163,17 @@ def test_swapper_failures_name_the_counterexample(monkeypatch, bad, message):
 
 
 def test_the_harness_counts_through_one_sweep(monkeypatch):
-    # Every count the harness reads comes from one dist.split_distribution
+    # Every count the harness reads comes from one dist.counts_by_rank
     # sweep; no second counting path over S_n may be reached.  n >= 2: the
     # sweep counts the one permutation of S_0 or S_1 with count_occurrences.
     def refuse(*args):
         raise AssertionError("a second counting path over S_n")
 
-    for module, name in ((mesh, "joint_counts"), (mesh, "count_occurrences"), (dist, "avoider_count")):
+    for module, name in ((mesh, "joint_counts"), (mesh, "count_occurrences"), (dist, "avoider_count"),
+                         (dist, "split_distribution")):
         monkeypatch.setattr(module, name, refuse)
-    sweeps, split = [], dist.split_distribution
-    monkeypatch.setattr(dist, "split_distribution", lambda *args: sweeps.append(args[0]) or split(*args))
+    sweeps, by_rank = [], dist.counts_by_rank
+    monkeypatch.setattr(dist, "counts_by_rank", lambda *args: sweeps.append(args[0]) or by_rank(*args))
     for pid in ("S9", "S11", "S13", "S15", "S17", "S1", "A3"):
         sweeps.clear()
         report = bj.verify_swap_bijection(pid, 5)

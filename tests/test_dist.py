@@ -384,6 +384,27 @@ def reference_count(pi, q):
                for pos in classical_positions(pi, q.length).get(q.tau, ()))
 
 
+def test_counts_by_rank_match_reference_scan():
+    # Bytes 2r and 2r + 1 hold the counts (k, l) of the pi of rank r.  Random
+    # patterns of lengths 1-4 and shadings, taus not closed under reverse and
+    # a pair (q, q), against the reference scan; then (1|, 21|), whose counts
+    # are n and the inversion count of every pi, so a rank the walk never
+    # writes reads 0.
+    rng = random.Random(2210)
+    cases = [(random_pattern(rng), random_pattern(rng)) for _ in range(4)]
+    q = random_pattern(rng)
+    cases += [(q, q), NOT_REVERSE_CLOSED]
+    assert {q.length for pair in cases for q in pair} == {1, 2, 3, 4}
+    for n in range(8):
+        for q1, q2 in cases:
+            want = [c for pi in perms.enumerate_sn(n) for c in (reference_count(pi, q1), reference_count(pi, q2))]
+            assert list(dist.counts_by_rank(n, q1, q2)) == want, (n, str(q1), str(q2))
+        counts = dist.counts_by_rank(n, mesh.parse_pattern("1|"), mesh.parse_pattern("21|"))
+        assert counts[0::2] == bytes([n]) * math.factorial(n), n
+        assert list(counts[1::2]) == [
+            sum(a > b for a, b in itertools.combinations(pi, 2)) for pi in perms.enumerate_sn(n)], n
+
+
 def test_repeated_and_image_pairs_match_reference_scan():
     # A pair listed twice and its c and r images: the sweep counts each
     # distinct image pair once and adds it to every input pair it is an
@@ -445,6 +466,7 @@ def test_counts_beyond_8_bits_are_refused_before_sweeping(monkeypatch):
         lambda: split_distribution(13, q1, q2, tuple),
         lambda: distribution(13, q1),
         lambda: avoider_count(13, q2),
+        lambda: dist.counts_by_rank(13, q1, q2),
     ]
     for sweep in sweeps:
         with pytest.raises(ValueError, match=r"n=13, m=3: C\(n, m\)=286"):

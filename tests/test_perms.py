@@ -37,6 +37,12 @@ def test_enumerate_is_lexicographic():
         assert seq == sorted(seq)
 
 
+def test_rank_is_the_index_in_enumeration_order():
+    for n in range(8):
+        assert [perms.rank(p) for p in enumerate_sn(n)] == list(range(math.factorial(n)))
+    assert perms.rank([3, 1, 2]) == 4  # any sequence, as the sweep's leaves pass lists
+
+
 def test_capacity_error_names_limit():
     with pytest.raises(CapacityError, match="0..10"):
         list(enumerate_sn(11))
