@@ -191,13 +191,13 @@ def frame_tables(n: int, workers: int, selected: tuple, covered: list) -> Iterat
 # name -> (check, the n range that ``--n n_max`` runs it over)
 CHECKS = {
     "S19": (closed_form("S19"), lambda n_max: range(2, n_max + 1)),
-    "S19-split": (s19_split, lambda n_max: range(2, min(n_max, 6) + 1)),
+    "S19-split": (s19_split, lambda n_max: range(2, n_max + 1)),
     "stirling-pairs": (stirling_pairs, lambda n_max: range(1, min(n_max, 8) + 1)),
     "A17": (closed_form("A17"), lambda n_max: range(2, n_max + 1)),
     "A17-convolution": (a17_convolution, lambda n_max: range(2, max(n_max, 9) + 1)),
     "A17-avoiders": (a17_avoiders, lambda n_max: range(2, n_max + 1)),
     "A25": (closed_form("A25"), lambda n_max: range(2, n_max + 1)),
-    "A25-split": (a25_split, lambda n_max: range(2, min(n_max, 6) + 1)),
+    "A25-split": (a25_split, lambda n_max: range(2, n_max + 1)),
     "A33": (closed_form("A33"), lambda n_max: range(2, n_max + 1)),
     "A33-coefficients": (a33_coefficients, lambda n_max: range(4, max(n_max, 9) + 1)),
     "marginals": (marginals, lambda n_max: range(2, n_max + 1)),

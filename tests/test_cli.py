@@ -235,6 +235,14 @@ def test_crosscheck_records_do_not_depend_on_workers(capsys):
     assert records[1] == records[2]
 
 
+def test_crosscheck_runs_the_split_checks_to_its_n(capsys):
+    code, out, _ = run(capsys, "crosscheck", "--n", "7", "--format", "json")
+    assert code == 0
+    records = {r["name"]: r for r in json.loads(out)["checks"]}
+    for name in ("S19-split", "A25-split"):
+        assert records[name]["n"] == [2, 7] and records[name]["pass"], name
+
+
 def test_crosscheck_over_no_n_fails():
     # The command refuses --n < 2; a library run over no n is a FAIL, not a PASS.
     for name in checks.CROSSCHECK:

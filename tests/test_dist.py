@@ -182,13 +182,33 @@ def leaves_walked(monkeypatch, n, pairs):
     return leaves
 
 
+def orbit_count(n, ops):
+    """The number of orbits of S_n under the group the maps ``ops`` generate."""
+    smallest = set()
+    for pi in perms.enumerate_sn(n):
+        orbit, todo = {pi}, [pi]
+        while todo:
+            sigma = todo.pop()
+            for image in (op(sigma) for op in ops):
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        smallest.add(min(orbit))
+    return len(smallest)
+
+
 def test_reverse_fold_walks_fewer_leaves(monkeypatch):
-    # Job f walks the leaves with a last entry b, f < b <= 9 - f:
-    # (7 + 5 + 3 + 1) * 6! = 11,520, not the 4 * 7! = 20,160 leaves of
-    # half of S_8, whether or not the taus are closed under reverse.
+    # A leaf is walked only if it is the smallest image of its orbit: under
+    # c, r and i for the catalog, whose i-images are among its c and r
+    # images, and under c and r alone for 132/312.  At n = 8 that is 5,282
+    # and 10,176 leaves of S_8, not 11,520 (the first is OEIS A000903).
     cat = [(p.q1, p.q2) for p in catalog.builtin_catalog()]
-    assert leaves_walked(monkeypatch, 8, cat) == 11520
-    assert leaves_walked(monkeypatch, 8, [NOT_REVERSE_CLOSED]) == 11520
+    square = (perms.complement, perms.reverse, perms.inverse)
+    for n in range(2, 8):
+        assert leaves_walked(monkeypatch, n, cat) == orbit_count(n, square), n
+        assert leaves_walked(monkeypatch, n, [NOT_REVERSE_CLOSED]) == orbit_count(n, square[:2]), n
+    assert leaves_walked(monkeypatch, 8, cat) == 5282
+    assert leaves_walked(monkeypatch, 8, [NOT_REVERSE_CLOSED]) == 10176
 
 
 def test_first_entry_split_at_odd_n():
@@ -284,6 +304,14 @@ def test_sweep_matches_reference_scan_on_random_patterns():
     for n in range(7):
         assert_sweep_matches_reference(
             n, [(random_pattern(rng), random_pattern(rng)) for _ in range(8)]
+        )
+    # Sets closed under inverse, each pair with its i-image, are folded by i
+    # too; involutions, leaves fixed by rc and those whose first entry is the
+    # position of 1 tie with an image and report only the distinct ones.
+    for n in range(7):
+        pairs = [(random_pattern(rng), random_pattern(rng)) for _ in range(4)]
+        assert_sweep_matches_reference(
+            n, pairs + [tuple(map(mesh.inverse_pattern, pair)) for pair in pairs]
         )
 
 
@@ -403,6 +431,21 @@ def test_counts_by_rank_match_reference_scan():
         assert counts[0::2] == bytes([n]) * math.factorial(n), n
         assert list(counts[1::2]) == [
             sum(a > b for a, b in itertools.combinations(pi, 2)) for pi in perms.enumerate_sn(n)], n
+
+
+def test_counts_by_rank_with_and_without_the_inverse_fold(monkeypatch):
+    # S9's i-images are among its c and r images, so its sweep is folded by
+    # the eight symmetries of the square; A17's are not, so its sweep is
+    # folded by c, r and rc alone.  Both write every rank.
+    walk, groups = dist._walk, set()
+    monkeypatch.setattr(dist, "_walk", lambda job: groups.add(len(job[2])) or walk(job))
+    for pid, group in (("S9", 8), ("A17", 4)):
+        p = pair(pid)
+        groups.clear()
+        for n in range(8):
+            want = [c for pi in perms.enumerate_sn(n) for c in (reference_count(pi, p.q1), reference_count(pi, p.q2))]
+            assert list(dist.counts_by_rank(n, p.q1, p.q2)) == want, (pid, n)
+        assert groups == {group}, pid
 
 
 def test_repeated_and_image_pairs_match_reference_scan():
