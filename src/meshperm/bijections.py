@@ -4,7 +4,8 @@ that checks them exhaustively over S_n.
 
 Two kinds of map live here:
 
-* occurrence swappers: involutions f of S_n with
+* occurrence swappers: involutions f of S_n alone, which read what they
+  swap from the permutation and not from its occurrences, with
   (occurrences of q1, occurrences of q2) composed with f equal to the
   swapped pair.  These are the global symmetries (complement / reverse),
   each attached to the pairs of ``catalog.INTERNAL_SYMMETRY`` it proves,
@@ -36,10 +37,6 @@ from .perms import Perm
 
 class DomainError(ValueError):
     """An input outside a map's domain."""
-
-
-class StructureError(AssertionError):
-    """A structural claim the map relies on failed; signals a misreading."""
 
 
 def map_s9(pi: Perm) -> Perm:
@@ -92,31 +89,27 @@ def map_s13(pi: Perm) -> Perm:
     return pi
 
 
-def map_s17(pi: Perm, q1: MeshPattern, q2: MeshPattern) -> Perm:
-    """Swap position 1 with the common third position of all occurrences.
+def map_s17(pi: Perm) -> Perm:
+    """Swap position 1 with the common third position t of the occurrences.
 
-    Every occurrence of either S17 pattern starts at position 1, and all
-    occurrences inside one permutation share a single third position t; the
-    map swaps the entries at positions 1 and t.  If the occurrences do not
-    share a third position the structural claim is wrong and a
-    :class:`StructureError` is raised rather than guessing.
+    Both S17 patterns shade every box but (1,2), (2,1) and (3,3): an
+    occurrence starts at position 1, pi(1..t) = {1..t}, {pi(1), pi(t)} =
+    {1, t}, and pi(2..t-1) reads X b Y with X above b and Y below b, that
+    is, b is a prefix minimum of pi(2..t-1) with pi(b) = t + 1 - b.  At most
+    one t >= 3 qualifies; identity when none does.
+
+    >>> map_s17((1, 2, 3, 4)), map_s17((5, 4, 3, 2, 1)), map_s17((1, 3, 4, 2))
+    ((3, 2, 1, 4), (1, 4, 3, 2, 5), (1, 3, 4, 2))
     """
-    for pat in (q1, q2):
-        occ = list(mesh.occurrences(pi, pat))
-        if not occ:
-            continue
-        firsts = {o[0] for o in occ}
-        thirds = {o[2] for o in occ}
-        if firsts != {1} or len(thirds) != 1:
-            raise StructureError(
-                f"occurrences of {mesh.format_pattern(pat)} in "
-                f"{perms.format_perm(pi)} do not share first position 1 and a "
-                f"common third position: {occ}"
-            )
-        t = thirds.pop()
-        out = list(pi)
-        out[0], out[t - 1] = out[t - 1], out[0]
-        return tuple(out)
+    high = 0
+    for t, v in enumerate(pi, 1):
+        high = max(high, v)
+        if high == t >= 3 and {pi[0], v} == {1, t}:
+            low = t
+            for b in range(2, t):
+                low = min(low, pi[b - 1])
+                if low == pi[b - 1] == t + 1 - b:
+                    return (v,) + pi[1:t - 1] + (pi[0],) + pi[t:]
     return pi
 
 
@@ -155,22 +148,19 @@ def iterated_swap(
         cur[i1 - 1], cur[i3 - 1] = cur[i3 - 1], cur[i1 - 1]
 
 
-# Each occurrence swapper as (pi, q1, q2) -> image, named by the id of the
-# pair it proves; each pair of catalog.INTERNAL_SYMMETRY maps by its symmetry.
-# S10/S12/S14/S16/S18 have no map: derivation chains and table equality cover
-# them.  S21's iterated swap is checked by its own harness, _verify_wilf.
-MAPS: dict[str, Callable[[Perm, MeshPattern, MeshPattern], Perm]] = {
-    "S9": lambda pi, q1, q2: map_s9(pi),
-    "S11": lambda pi, q1, q2: map_s11(pi),
-    "S13": lambda pi, q1, q2: map_s13(pi),
-    "S15": lambda pi, q1, q2: map_s13(pi),
+# Each occurrence swapper, named by the id of the pair it proves; each pair
+# of catalog.INTERNAL_SYMMETRY maps by its symmetry.  S10/S12/S14/S16/S18
+# have no map: derivation chains and table equality cover them.  S21's
+# iterated swap is checked by its own harness, _verify_wilf.
+MAPS: dict[str, Callable[[Perm], Perm]] = {
+    "S9": map_s9,
+    "S11": map_s11,
+    "S13": map_s13,
+    "S15": map_s13,
     "S17": map_s17,
 }
-_SYMMETRIES = {
-    "c": lambda pi, q1, q2: perms.complement(pi),
-    "r": lambda pi, q1, q2: perms.reverse(pi),
-}
-MAPS.update((pid, _SYMMETRIES[op]) for pid, op in catalog.INTERNAL_SYMMETRY.items())
+MAPS.update((pid, perms.complement if op == "c" else perms.reverse)
+            for pid, op in catalog.INTERNAL_SYMMETRY.items())
 
 
 @dataclass(frozen=True)
@@ -189,16 +179,13 @@ class BijectionReport:
 
 
 def _verify_swapper(
-    fn: Callable[[Perm, MeshPattern, MeshPattern], Perm],
-    n: int,
-    q1: MeshPattern,
-    q2: MeshPattern,
+    fn: Callable[[Perm], Perm], n: int, q1: MeshPattern, q2: MeshPattern
 ) -> tuple[bool, str | None, dict]:
     counts = dist.counts_by_rank(n, q1, q2)
     fixed = 0
     for r, pi in enumerate(perms.enumerate_sn(n)):
-        sigma = fn(pi, q1, q2)
-        if fn(sigma, q1, q2) != pi:
+        sigma = fn(pi)
+        if fn(sigma) != pi:
             return False, f"not an involution at {perms.format_perm(pi)}", {}
         s = 2 * (r if sigma == pi else perms.rank(sigma))
         (k, l), (k2, l2) = counts[2 * r:2 * r + 2], counts[s:s + 2]
@@ -248,12 +235,13 @@ def _verify_wilf(n: int, q1: MeshPattern, q2: MeshPattern) -> tuple[bool, str | 
 def verify_swap_bijection(map_id: str, n: int) -> BijectionReport:
     """Exhaustively check a map over S_n; failures become report data.
 
-    For occurrence swappers: the map must be an involution and must swap
-    the joint counts of the pair.  For the iterated swap: it must biject
-    the avoiders of q1 onto the avoiders of q2 within C(n, 3) swaps; when
-    it is not injective, ``stats["collision"]`` names the first two inputs
-    in enumeration order that share an image, and that image.  ``map_id``
-    is the id of the pair the map proves, in upper or lower case.
+    For occurrence swappers, called as ``fn(pi)``: the map must be an
+    involution of S_n and must swap the joint counts of the pair, read from
+    one sweep.  For the iterated swap: it must biject the avoiders of q1
+    onto the avoiders of q2 within C(n, 3) swaps; when it is not injective,
+    ``stats["collision"]`` names the first two inputs in enumeration order
+    that share an image, and that image.  ``map_id`` is the id of the pair
+    the map proves, in upper or lower case.
     """
     perms.check_capacity(n)
     key = map_id.upper()

@@ -139,10 +139,9 @@ def marginals(n: int, workers: int) -> Iterator[tuple]:
 
 
 def inversion_sequences(n: int, workers: int) -> Iterator[tuple]:
-    """I(n,k) == T(n,k) for all k, by count and by recurrence"""
+    """I(n,k) == T(n,k) for all k, by count"""
     want = cf.a25_family_marginal(n)
-    for count in (invseq.count_with_stat, invseq.count_by_recurrence):
-        yield from _row(count.__name__, want, [count(n, k) for k in range(len(want))])
+    yield from _row("count_with_stat", want, [invseq.count_with_stat(n, k) for k in range(len(want))])
 
 
 def stirling_convolution(n: int, workers: int) -> Iterator[tuple]:

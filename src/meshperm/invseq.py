@@ -72,27 +72,3 @@ def _stat_counts(n: int) -> Counter:
     """The statistic's counts over the inversion sequences of length n, in one pass."""
     return Counter(map(adjacent_nonzero_pairs, enumerate_inversion_sequences(n)))
 
-
-@functools.lru_cache(maxsize=None)
-def count_by_recurrence(n: int, k: int) -> int:
-    """The same count via the four-term recurrence
-
-        I(n,k) = (n-1) I(n-1,k) + I(n-1,k-1) + I(n-2,k) - I(n-2,k-1)
-
-    for n >= 4, with lengths up to 3 counted directly.
-
-    >>> [count_by_recurrence(4, k) for k in range(3)]
-    [17, 6, 1]
-    """
-    if k < 0:
-        return 0
-    if n <= 3:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        return count_with_stat(n, k)
-    return (
-        (n - 1) * count_by_recurrence(n - 1, k)
-        + count_by_recurrence(n - 1, k - 1)
-        + count_by_recurrence(n - 2, k)
-        - count_by_recurrence(n - 2, k - 1)
-    )

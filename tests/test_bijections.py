@@ -32,21 +32,29 @@ def test_swap_maps_pass_harness(map_id):
 
 
 def test_s17_common_third_position_structure():
+    # Every occurrence starts at position 1 and all share one third position
+    # t; map_s17 reads t from pi alone and must swap exactly positions 1, t.
     pair = catalog.get_pair("S17")
-    for n in range(3, 6):
+    for n in range(3, 8):
         for pi in perms.enumerate_sn(n):
-            for pat in (pair.q1, pair.q2):
-                occ = list(mesh.occurrences(pi, pat))
-                if occ:
-                    assert {o[0] for o in occ} == {1}
-                    assert len({o[2] for o in occ}) == 1
+            occ = list(mesh.occurrences(pi, pair.q1)) + list(mesh.occurrences(pi, pair.q2))
+            if not occ:
+                assert bj.map_s17(pi) == pi, pi
+                continue
+            assert {o[0] for o in occ} == {1}
+            (t,) = {o[2] for o in occ}
+            want = list(pi)
+            want[0], want[t - 1] = want[t - 1], want[0]
+            assert bj.map_s17(pi) == tuple(want), pi
+    report = bj.verify_swap_bijection("S17", 8)
+    assert report.passed and report.stats == {"fixed_points": 39424, "moved": 896, "size": 40320}
 
 
 def test_s17_identity_on_double_avoiders():
     pair = catalog.get_pair("S17")
     for pi in perms.enumerate_sn(4):
         if mesh.count_occurrences(pi, pair.q1) == 0 and mesh.count_occurrences(pi, pair.q2) == 0:
-            assert bj.map_s17(pi, pair.q1, pair.q2) == pi
+            assert bj.map_s17(pi) == pi
 
 
 def test_global_symmetry_maps_pass_harness():
@@ -151,9 +159,9 @@ def test_unknown_map_errors(map_id):
 
 
 @pytest.mark.parametrize("bad, message", [
-    (lambda pi, q1, q2: pi[1:] + pi[:1], "not an involution at 1234"),
+    (lambda pi: pi[1:] + pi[:1], "not an involution at 1234"),
     # S11's map is an involution, but it does not swap S9's counts
-    (lambda pi, q1, q2: bj.map_s11(pi), "1234 has counts (1,0) but its image 4231 has (0,0)"),
+    (lambda pi: bj.map_s11(pi), "1234 has counts (1,0) but its image 4231 has (0,0)"),
 ])
 def test_swapper_failures_name_the_counterexample(monkeypatch, bad, message):
     monkeypatch.setitem(bj.MAPS, "S9", bad)
@@ -164,13 +172,15 @@ def test_swapper_failures_name_the_counterexample(monkeypatch, bad, message):
 
 def test_the_harness_counts_through_one_sweep(monkeypatch):
     # Every count the harness reads comes from one dist.counts_by_rank
-    # sweep; no second counting path over S_n may be reached.  n >= 2: the
-    # sweep counts the one permutation of S_0 or S_1 with count_occurrences.
+    # sweep; no second counting path over S_n may be reached, and no
+    # occurrence swapper scans occurrences.  n >= 2: the sweep counts the one
+    # permutation of S_0 or S_1 with count_occurrences.
     def refuse(*args):
         raise AssertionError("a second counting path over S_n")
 
+    occurrences = mesh.occurrences
     for module, name in ((mesh, "joint_counts"), (mesh, "count_occurrences"), (dist, "avoider_count"),
-                         (dist, "split_distribution")):
+                         (dist, "split_distribution"), (mesh, "occurrences")):
         monkeypatch.setattr(module, name, refuse)
     sweeps, by_rank = [], dist.counts_by_rank
     monkeypatch.setattr(dist, "counts_by_rank", lambda *args: sweeps.append(args[0]) or by_rank(*args))
@@ -178,6 +188,8 @@ def test_the_harness_counts_through_one_sweep(monkeypatch):
         sweeps.clear()
         report = bj.verify_swap_bijection(pid, 5)
         assert report.passed and sweeps == [5], (pid, report.counterexample, sweeps)
+    # The iterated swap scans occurrences by definition.
+    monkeypatch.setattr(mesh, "occurrences", occurrences)
     sweeps.clear()
     report = bj.verify_swap_bijection("S21", 4)
     assert report.stats["collision"] == ["3241", "4213", "1243"] and sweeps == [4]

@@ -50,18 +50,6 @@ def test_count_examples():
     assert invseq.count_with_stat(5, 0) == 73
 
 
-def test_recurrence_examples():
-    assert invseq.count_by_recurrence(4, 0) == 17
-    assert invseq.count_by_recurrence(4, 1) == 6
-    assert invseq.count_by_recurrence(4, 2) == 1
-
-
-def test_recurrence_matches_brute_force():
-    for n in range(1, 8):
-        for k in range(n):
-            assert invseq.count_by_recurrence(n, k) == invseq.count_with_stat(n, k)
-
-
 def test_counts_match_marginal():
     for n in range(2, 8):
         want = cf.a25_family_marginal(n)
