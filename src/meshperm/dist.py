@@ -11,11 +11,11 @@ prints it.  Closed forms, recurrences and split tables use this one type.
 Every table comes from one sweep (:func:`_sweep`), a depth-first walk of
 the prefix tree of S_n, which counts the occurrences of many patterns in
 packed 8-bit fields, so C(n, m) <= 255 for each pattern length m.  It
-walks one leaf per orbit of S_n under complement, reverse and, when the
-pairs allow it, inverse: the smallest, which reports every image of itself
-(:func:`_walk`).  Its jobs are first-entry subtrees whose partial tallies
-are summed, as :func:`merge` sums whole tables, so results do not depend
-on the schedule.
+walks one leaf per orbit of S_n under the eight symmetries of the square
+(complement, reverse, inverse): the smallest, which reports every image of
+itself (:func:`_walk`).  Its jobs are first-entry subtrees whose partial
+tallies are summed, as :func:`merge` sums whole tables, so results do not
+depend on the schedule.
 """
 
 from __future__ import annotations
@@ -161,26 +161,26 @@ def _walk(job) -> Counter:
     S_n whose orbit's smallest image has first entry ``first``; with ``out``,
     out[perms.rank(pi)] = (k, l) instead.  q occurs in c(pi) as c(q) in pi,
     in r(pi) as r(q) and in i(pi) as i(q), so pair j's counts in image t of
-    a leaf (pi, c, r, rc of pi, then of i(pi) if ``slot`` has 8 rows) are
-    those of ``pairs[slot[t][j]]`` in the leaf.  Only a leaf that is the
-    smallest image of its orbit is walked, decided at the node with two
-    entries left, and it reports each distinct image once.  A node carries
-    each tau's partial matches and the packed counts of the occurrences it
-    completes (the entries to come lie in their last column).  A leaf tallies
-    its 16-bit words (k, l) as ``slot << 16 + len(slot) | tag << 16 | word``,
-    the tag holding a bit per image reported."""
+    a leaf (pi, c, r, rc of pi, then of i(pi)) are those of
+    ``pairs[slot[t][j]]`` in the leaf.  Only the smallest of these eight
+    images is walked, decided at the node with two entries left, and it
+    reports each distinct image once.  A node carries each tau's partial
+    matches and the packed counts of the occurrences it completes (the
+    entries to come lie in their last column).  A leaf tallies its 16-bit
+    words (k, l) as ``slot << 24 | tag << 16 | word``, the tag holding a bit
+    per image reported."""
     n, pairs, slot, out, first = job
     by_tau: dict[Perm, list[tuple[int, int]]] = {}
     for i, q in enumerate(q for pair in pairs for q in pair):
         by_tau.setdefault(q.tau, []).append((8 * i, mesh.shading_mask(q)))
     taus = [(mesh.extension_bounds(tau), _Fields(s, (len(tau) + 1) ** 2)) for tau, s in by_tau.items()]
-    group, hi, extremes = len(slot), n + 1 - first, 1 << 1 | 1 << n
+    hi, extremes = n + 1 - first, 1 << 1 | 1 << n
     tally, path, seen, offsets = Counter(), [], [0], {}
 
     def images(pi: Perm) -> list[Perm]:
-        """pi, c, r and rc of pi, then with i of i(pi): slot order."""
+        """pi, c, r and rc of pi, then of i(pi): slot order."""
         found = []
-        for sigma in (pi, perms.inverse(pi)) if group == 8 else (pi,):
+        for sigma in (pi, perms.inverse(pi)):
             c = tuple([n + 1 - v for v in sigma])  # tuple(generator) resizes: freed n-tuples pile up
             found += [sigma, c, sigma[::-1], c[::-1]]
         return found
@@ -189,18 +189,18 @@ def _walk(job) -> Counter:
         """One bit per distinct image of ``leaf``, at its first index; 0 if it
         is not the smallest.  Images start with b or n + 1 - b (b its last
         entry), or the positions of 1 and n or their mirrors: a tie builds them."""
-        heads = (leaf[-1], leaf.index(1) + 1, leaf.index(n) + 1) if group == 8 else (leaf[-1],)
+        heads = (leaf[-1], leaf.index(1) + 1, leaf.index(n) + 1)
         low = min(min(heads), n + 1 - max(heads))  # the head h or the mirror n + 1 - h
         if low != first:
-            return (1 << group) - 1 if low > first else 0
+            return 0xFF if low > first else 0
         found = images(leaf)
         if min(found) != leaf:
             return 0
         if found.count(leaf) == 1:  # no symmetry fixes leaf: its images are distinct
-            return (1 << group) - 1
+            return 0xFF
         return sum(1 << t for t, image in enumerate(found) if image not in found[:t])
 
-    def grow(v: int, unused: list[int], states: list, total: int, left: int, tag: int) -> None:
+    def grow(v: int, unused: list[int], states: list, total: int, tag: int) -> None:
         path.append(v)
         seen.append(seen[-1] | 1 << v)
         d = len(path)
@@ -212,20 +212,19 @@ def _walk(job) -> Counter:
             children.append(kids)
         for i, w in enumerate(unused):
             rest = unused[:i] + unused[i + 1:]
-            lasts = left - (first < w <= hi)  # allowed last entries below w
             if len(rest) == 1:
                 tag = reported((*path, w, *rest))
                 if not tag:
                     continue
-            elif rest and (not lasts or group == 8 and (  # with i, 1 and n sit at positions first..hi
-                    1 << w & extremes and d + 1 < first or d + 1 >= hi and ~(seen[-1] | 1 << w) & extremes)):
+            elif rest and (  # 1 and n sit at positions first..hi
+                    1 << w & extremes and d + 1 < first or d + 1 >= hi and ~(seen[-1] | 1 << w) & extremes):
                 continue
-            grow(w, rest, children, total, lasts, tag)
+            grow(w, rest, children, total, tag)
         if not unused:
             words = memoryview(total.to_bytes(2 * len(pairs), "little")).cast("H")
             if out is None:
                 keys = offsets.get(tag) or offsets.setdefault(
-                    tag, [s << 16 + group | tag << 16 for s in range(len(pairs))])
+                    tag, [s << 24 | tag << 16 for s in range(len(pairs))])
                 tally.update(map(operator.or_, keys, words))
             else:
                 for image, row in zip(images(tuple(path)), slot):  # a repeated image, the same bytes
@@ -236,7 +235,7 @@ def _walk(job) -> Counter:
     rest = [w for w in range(1, n + 1) if w != first]
     roots = [[[((), (0, n + 1))]] + [[]] * (len(tau) - 1) for tau in by_tau]
     # n = 2 has no node with two entries left: its one leaf is decided here
-    grow(first, rest, roots, 0, sum(first < w <= hi for w in rest), len(rest) == 1 and reported((first, *rest)))
+    grow(first, rest, roots, 0, len(rest) == 1 and reported((first, *rest)))
     del grow  # it refers to itself: free the subtree's masks now
     owners = {tag: [[] for _ in pairs] for tag in offsets}  # tag -> s -> the input pairs s stands for
     for tag, by_slot in owners.items():
@@ -245,17 +244,17 @@ def _walk(job) -> Counter:
     by_pair = Counter()
     for key, c in tally.items():
         k, l = (key & 0xFFFF).to_bytes(2, sys.byteorder)  # the word's bytes in memory order
-        for j in owners[key >> 16 & (1 << group) - 1][key >> 16 + group]:
+        for j in owners[key >> 16 & 0xFF][key >> 24]:
             by_pair[j, k, l] += c
     return by_pair
 
 
 def _sweep(n: int, pairs: Sequence[Pair], workers: int = 1, by_rank: bool = False) -> Counter | bytearray:
     """:func:`_walk` over all of S_n, one job per first entry f <= n/2 (n <= 1
-    has none: its one permutation is counted directly), folded by c and r,
-    and by i if the pairs' i-images are among their c and r images, as the
-    catalog's are.  With ``workers`` > 1 the jobs go to a process pool.  With
-    ``by_rank`` (one pair, one worker) they fill 2 * n! bytes by rank instead."""
+    has none: its one permutation is counted directly), folded by c, r and i
+    for every pattern set: an image that is a new pair is one more field.
+    With ``workers`` > 1 the jobs go to a process pool.  With ``by_rank``
+    (one pair, one worker) they fill 2 * n! bytes by rank instead."""
     perms.check_capacity(n)
     m = max((q.length for pair in pairs for q in pair), key=lambda m: math.comb(n, m), default=0)
     if math.comb(n, m) > 255:  # the largest count of a length-m pattern
@@ -265,12 +264,9 @@ def _sweep(n: int, pairs: Sequence[Pair], workers: int = 1, by_rank: bool = Fals
         counts = [mesh.count_occurrences(pi, q) for pair in pairs for q in pair]
         return bytearray(counts) if by_rank else Counter(zip(range(len(pairs)), counts[0::2], counts[1::2]))
     index: dict[Pair, int] = {}  # the distinct image pairs, numbered as found
-    slot = [[index.setdefault(tuple(mesh.apply_pattern_ops(q, w) for q in pair), len(index)) for pair in pairs]
-            for w in ("", "c", "r", "cr")]
     # c(i(pi)) = i(r(pi)) has the counts of r(i(q)) in pi, r(i(pi)) those of c(i(q))
-    inverses = [[index.get(tuple(mesh.apply_pattern_ops(q, w) for q in pair)) for pair in pairs]
-                for w in ("i", "ir", "ic", "icr")]
-    slot += inverses if all(None not in row for row in inverses) else []
+    slot = [[index.setdefault(tuple(mesh.apply_pattern_ops(q, w) for q in pair), len(index)) for pair in pairs]
+            for w in ("", "c", "r", "cr", "i", "ir", "ic", "icr")]
     out = memoryview(bytearray(2 * math.factorial(n))).cast("H") if by_rank else None
     jobs = [(n, list(index), slot, out, f) for f in range(1, n // 2 + 1)]
     if workers <= 1 or len(jobs) < 2:

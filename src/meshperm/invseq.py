@@ -26,14 +26,6 @@ from . import perms
 InvSeq = tuple[int, ...]
 
 
-def check_inversion_sequence(entries: Sequence[int]) -> InvSeq:
-    seq = tuple(entries)
-    for i, e in enumerate(seq, start=1):
-        if not 0 <= e <= i - 1:
-            raise ValueError(f"entry {e} at position {i} violates 0 <= e_i <= i-1")
-    return seq
-
-
 def enumerate_inversion_sequences(n: int) -> Iterator[InvSeq]:
     """All n! inversion sequences of length n, in lexicographic order.
 
@@ -45,14 +37,23 @@ def enumerate_inversion_sequences(n: int) -> Iterator[InvSeq]:
 
 
 def adjacent_nonzero_pairs(entries: Sequence[int]) -> int:
-    """Number of positions j with e_j = e_{j+1} != 0.
+    """Number of positions j with e_j = e_{j+1} != 0; a ValueError unless
+    0 <= e_j <= j - 1 for every j.
 
     >>> adjacent_nonzero_pairs((0, 0, 0))
     0
     >>> adjacent_nonzero_pairs((0, 1, 1, 1, 0, 0))
     2
     """
-    seq = check_inversion_sequence(entries)
+    seq = tuple(entries)
+    for i, e in enumerate(seq, start=1):
+        if not 0 <= e <= i - 1:
+            raise ValueError(f"entry {e} at position {i} violates 0 <= e_i <= i-1")
+    return _adjacent_nonzero_pairs(seq)
+
+
+def _adjacent_nonzero_pairs(seq: InvSeq) -> int:
+    """The statistic of a sequence known to be an inversion sequence."""
     return sum(1 for a, b in zip(seq, seq[1:]) if a == b != 0)
 
 
@@ -70,5 +71,5 @@ def count_with_stat(n: int, k: int) -> int:
 @functools.lru_cache(maxsize=None)
 def _stat_counts(n: int) -> Counter:
     """The statistic's counts over the inversion sequences of length n, in one pass."""
-    return Counter(map(adjacent_nonzero_pairs, enumerate_inversion_sequences(n)))
+    return Counter(map(_adjacent_nonzero_pairs, enumerate_inversion_sequences(n)))
 

@@ -150,7 +150,8 @@ NOT_REVERSE_CLOSED = (mesh.parse_pattern("132|0,0;2,2"), mesh.parse_pattern("312
 def test_sweep_walks_one_subtree_of_each_complementary_pair(monkeypatch):
     # Whether or not the taus are closed under reverse (A17 on 123 and 321
     # is, 132/312 is not), the jobs are the first entries f <= n/2, each
-    # folded by complement and reverse.  n = 1 has no such entry, so no job
+    # folded by complement, reverse and inverse, and they carry the distinct
+    # images of the pair under the three.  n = 1 has no such entry, so no job
     # is walked and its one permutation is counted directly.
     walk, jobs = dist._walk, []
     monkeypatch.setattr(dist, "_walk", lambda job: jobs.append(job) or walk(job))
@@ -161,7 +162,7 @@ def test_sweep_walks_one_subtree_of_each_complementary_pair(monkeypatch):
             assert joint_tables(n, [(q1, q2)])[0].total() == math.factorial(n)
             assert [first for *_, first in jobs] == list(range(1, n // 2 + 1)), (n, str(q1))
             images = [(q1, q2)]
-            for op in "cr":
+            for op in "cri":
                 images += [tuple(map(mesh.PATTERN_OPS[op], pair)) for pair in images]
             assert all(pairs == list(dict.fromkeys(images)) for _, pairs, *_ in jobs)
 
@@ -198,17 +199,17 @@ def orbit_count(n, ops):
 
 
 def test_reverse_fold_walks_fewer_leaves(monkeypatch):
-    # A leaf is walked only if it is the smallest image of its orbit: under
-    # c, r and i for the catalog, whose i-images are among its c and r
-    # images, and under c and r alone for 132/312.  At n = 8 that is 5,282
-    # and 10,176 leaves of S_8, not 11,520 (the first is OEIS A000903).
+    # A leaf is walked only if it is the smallest image of its orbit under
+    # c, r and i, for the catalog, whose i-images are among its c and r
+    # images, and for 132/312, whose are not.  At n = 8 that is 5,282 leaves
+    # of S_8 for both, not 11,520 (OEIS A000903).
     cat = [(p.q1, p.q2) for p in catalog.builtin_catalog()]
     square = (perms.complement, perms.reverse, perms.inverse)
     for n in range(2, 8):
         assert leaves_walked(monkeypatch, n, cat) == orbit_count(n, square), n
-        assert leaves_walked(monkeypatch, n, [NOT_REVERSE_CLOSED]) == orbit_count(n, square[:2]), n
+        assert leaves_walked(monkeypatch, n, [NOT_REVERSE_CLOSED]) == orbit_count(n, square), n
     assert leaves_walked(monkeypatch, 8, cat) == 5282
-    assert leaves_walked(monkeypatch, 8, [NOT_REVERSE_CLOSED]) == 10176
+    assert leaves_walked(monkeypatch, 8, [NOT_REVERSE_CLOSED]) == 5282
 
 
 def test_first_entry_split_at_odd_n():
@@ -305,9 +306,9 @@ def test_sweep_matches_reference_scan_on_random_patterns():
         assert_sweep_matches_reference(
             n, [(random_pattern(rng), random_pattern(rng)) for _ in range(8)]
         )
-    # Sets closed under inverse, each pair with its i-image, are folded by i
-    # too; involutions, leaves fixed by rc and those whose first entry is the
-    # position of 1 tie with an image and report only the distinct ones.
+    # Sets closed under inverse, each pair with its i-image, count no new
+    # pair for i; involutions, leaves fixed by rc and those whose first entry
+    # is the position of 1 tie with an image and report only the distinct ones.
     for n in range(7):
         pairs = [(random_pattern(rng), random_pattern(rng)) for _ in range(4)]
         assert_sweep_matches_reference(
@@ -434,12 +435,12 @@ def test_counts_by_rank_match_reference_scan():
 
 
 def test_counts_by_rank_with_and_without_the_inverse_fold(monkeypatch):
-    # S9's i-images are among its c and r images, so its sweep is folded by
-    # the eight symmetries of the square; A17's are not, so its sweep is
-    # folded by c, r and rc alone.  Both write every rank.
+    # S9's i-images are among its c and r images, A17's are not: A17's are
+    # new pairs, counted as more fields.  Both sweeps are folded by the eight
+    # symmetries of the square, and both write every rank.
     walk, groups = dist._walk, set()
     monkeypatch.setattr(dist, "_walk", lambda job: groups.add(len(job[2])) or walk(job))
-    for pid, group in (("S9", 8), ("A17", 4)):
+    for pid, group in (("S9", 8), ("A17", 8)):
         p = pair(pid)
         groups.clear()
         for n in range(8):
@@ -449,7 +450,7 @@ def test_counts_by_rank_with_and_without_the_inverse_fold(monkeypatch):
 
 
 def test_repeated_and_image_pairs_match_reference_scan():
-    # A pair listed twice and its c and r images: the sweep counts each
+    # A pair listed twice and its c, r and i images: the sweep counts each
     # distinct image pair once and adds it to every input pair it is an
     # image of, with and without the pool.
     rng = random.Random(1119)
@@ -459,8 +460,8 @@ def test_repeated_and_image_pairs_match_reference_scan():
         return mesh.pattern(tau, rng.sample(boxes, rng.randint(0, len(boxes))))
 
     p = (shaded((1, 2)), shaded((1,)))
-    c, r = mesh.complement_pattern, mesh.reverse_pattern
-    pairs = [p, (c(p[0]), c(p[1])), p, (r(p[0]), r(p[1]))]
+    c, r, i = mesh.complement_pattern, mesh.reverse_pattern, mesh.inverse_pattern
+    pairs = [p, (c(p[0]), c(p[1])), p, (r(p[0]), r(p[1])), (i(p[0]), i(p[1]))]
     for n in range(8):
         tallies = [Counter() for _ in pairs]
         for pi in perms.enumerate_sn(n):
